@@ -38,6 +38,7 @@ race:
 # Fault-injection suite: resets, drops, partitions and crash/restart
 # cycles under the race detector. -count=1 defeats the test cache so
 # the nondeterministic schedules actually rerun.
+# The suite runs over both transports: plain TCP and HTTP upgrade.
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/wire
 

@@ -13,8 +13,7 @@ import (
 // snapshot, /trace the recent convergence events as JSON
 // (?n=K limits the event count), and /debug/pprof/* the standard
 // runtime profiles. It binds its own mux so enabling it never touches
-// http.DefaultServeMux (the HTTP cluster transport shares the
-// process).
+// http.DefaultServeMux, which belongs to the embedding program.
 type DebugServer struct {
 	srv  *http.Server
 	ln   net.Listener

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,33 +124,37 @@ func TestChaosResetsPartitionAndCrashes(t *testing.T) {
 }
 
 // TestChaosDropsAndDialFailures exercises detectable frame loss and
-// failed connection establishment: every dropped frame must be
-// redelivered from the sender's unacked window.
+// failed connection establishment, over both transports: every dropped
+// frame must be redelivered from the sender's unacked window.
 func TestChaosDropsAndDialFailures(t *testing.T) {
-	defer assertNoGoroutineLeaks(t)()
-	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(400, 55))
-	ft := NewFaultTransport(nil, FaultConfig{
-		Seed:         7,
-		DropProb:     0.08,
-		DialFailProb: 0.15,
-	})
-	c, err := NewCluster(g, ClusterConfig{Peers: 5, Epsilon: 1e-6, Seed: 3, Transport: ft})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.Run(120 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRanksMatch(t, g, res.Ranks, 1e-3)
-	assertNoMassLost(t, res)
-	st := ft.Stats()
-	if st.Drops == 0 || st.DialFails == 0 {
-		t.Fatalf("fault injector idle: %+v", st)
-	}
-	if res.Retries == 0 {
-		t.Fatalf("drops should force retries: %+v", res)
+	for _, row := range transportRows {
+		t.Run(row.name, func(t *testing.T) {
+			defer assertNoGoroutineLeaks(t)()
+			g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(400, 55))
+			ft := NewFaultTransport(row.tr(), FaultConfig{
+				Seed:         7,
+				DropProb:     0.08,
+				DialFailProb: 0.15,
+			})
+			c, err := NewCluster(g, ClusterConfig{Peers: 5, Epsilon: 1e-6, Seed: 3, Transport: ft})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			res, err := c.Run(120 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertRanksMatch(t, g, res.Ranks, 1e-3)
+			assertNoMassLost(t, res)
+			st := ft.Stats()
+			if st.Drops == 0 || st.DialFails == 0 {
+				t.Fatalf("fault injector idle: %+v", st)
+			}
+			if res.Retries == 0 {
+				t.Fatalf("drops should force retries: %+v", res)
+			}
+		})
 	}
 }
 
@@ -354,6 +360,35 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	for cut := 0; cut < len(raw); cut += 7 {
 		if _, err := DecodeSnapshot(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("accepted snapshot truncated to %d bytes", cut)
+		}
+	}
+}
+
+// TestDecodeSnapshotVersionWindow pins the closed version window:
+// the decoder accepts exactly peerSnapVersion and names any other
+// version it meets.
+func TestDecodeSnapshotVersionWindow(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(fuzzSeedSnapshot(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		version uint64
+		wantErr string
+	}{
+		{"current", peerSnapVersion, ""},
+		{"v4 header", 4, "unsupported snapshot version 4"},
+		{"future header", peerSnapVersion + 1, "unsupported snapshot version"},
+	} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(raw[len(peerSnapMagic):], tc.version)
+		_, err := DecodeSnapshot(bytes.NewReader(raw))
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }

@@ -24,45 +24,44 @@ import (
 // termination counters carry over so the cluster-wide probe stays
 // exact across the crash.
 //
-// Version 2 keys both the duplicate-suppression table and the
-// outbound queues by delivery stream (source, original destination)
-// instead of by single peer, which is what lets a departed peer's
-// state migrate: its ring successor adopts the dedup entries and the
-// unacknowledged frames under their original stream identity, so
-// redirected retransmissions are recognized wherever they land. The
-// same framing doubles as the handoff wire format (Handoff).
+// The duplicate-suppression table and the outbound queues are keyed
+// by delivery stream (source, original destination) instead of by
+// single peer, which is what lets a departed peer's state migrate: its
+// ring successor adopts the dedup entries and the unacknowledged frames
+// under their original stream identity, so redirected retransmissions
+// are recognized wherever they land. The same framing doubles as the
+// handoff wire format (Handoff).
 //
-// Version 3 adds the ownership-epoch vector (one fencing epoch per
-// ring slot) and the epoch-rejected counter, so a restored peer
-// re-frames its unacknowledged batches under epochs at least as fresh
-// as the ones it crashed with — a receiver that moved on can nack the
-// stale retransmissions instead of silently double-folding them.
+// Beyond the ranker rows and the stream tables the snapshot carries:
+//   - the ownership-epoch vector (one fencing epoch per ring slot) and
+//     the epoch-rejected counter, so a restored peer re-frames its
+//     unacknowledged batches under epochs at least as fresh as the ones
+//     it crashed with — a receiver that moved on can nack the stale
+//     retransmissions instead of silently double-folding them;
+//   - the epoch-rejected sequence list: seqs this peer nacked at the
+//     epoch fence whose updates therefore never folded. lastSeq can
+//     legitimately pass such a seq (a later refreshed-epoch frame folds
+//     first), so whoever inherits the dedup table must also inherit
+//     this exemption list, or a retransmission of the rejected frame
+//     would be swallowed as a duplicate and its updates lost;
+//   - the overload-protection state: the three flow-control counters
+//     (credit stalls, shed-coalesced updates, slow-peer transitions)
+//     and, per outbound stream, the last credit window the destination
+//     advertised, so a restarted sender resumes under the receiver's
+//     pre-crash budget instead of bursting at the configured maximum.
 //
-// Version 4 adds the epoch-rejected sequence list: seqs this peer
-// nacked at the epoch fence whose updates therefore never folded.
-// lastSeq can legitimately pass such a seq (a later refreshed-epoch
-// frame folds first), so whoever inherits the dedup table — the ring
-// successor, or the peer itself after a restart — must also inherit
-// this exemption list, or a retransmission of the rejected frame
-// would be swallowed as a duplicate and its updates lost. Version 3
-// snapshots (no such list) still decode.
-//
-// Version 5 persists the overload-protection state: the three flow-
-// control counters (credit stalls, shed-coalesced updates, slow-peer
-// transitions) in the header, and per outbound stream the last credit
-// window the destination advertised, so a restarted sender resumes
-// under the receiver's pre-crash budget instead of bursting at the
-// configured maximum. Version 4 and 3 snapshots still decode; their
-// streams restart at the configured window.
+// Snapshots never outlive the process that wrote them (they are
+// checkpoints and handoffs between peers of one cluster), so the
+// decoder accepts exactly the current version.
 
 const (
 	peerSnapMagic   = "DPRW"
 	peerSnapVersion = 5
 	// peerSnapMinVersion is the compatibility floor: the oldest
-	// snapshot version the decoder still accepts. Raising it is a
-	// breaking change for any peer restoring an older checkpoint and
-	// must be called out in the release notes.
-	peerSnapMinVersion = 3
+	// snapshot version the decoder still accepts. Lowering it below
+	// peerSnapVersion means restoring a decode path for every version
+	// in between.
+	peerSnapMinVersion = peerSnapVersion
 )
 
 // PeerSnapshot is a crashed peer's durable state.
@@ -268,23 +267,16 @@ func (p *Peer) snapshot() *PeerSnapshot {
 	return s
 }
 
-// decodeFrameBytes parses a full stream-batch frame as built by
-// nextFrame or installAdoptedSender. Both the epoch-stamped frame and
-// the legacy stream frame decode; the epoch itself is dropped — the
+// decodeFrameBytes parses a full epoch-batch frame as built by
+// nextFrame or installAdoptedSender. The epoch itself is dropped — the
 // restorer re-stamps with its own current epoch.
 func decodeFrameBytes(b []byte) (src, dest p2p.PeerID, seq uint64, us []p2p.Update, err error) {
 	typ, payload, err := readFrameBytes(b)
-	if err != nil {
+	if err != nil || typ != frameBatchEpoch {
 		return 0, 0, 0, nil, fmt.Errorf("wire: not a stream batch frame")
 	}
-	switch typ {
-	case frameBatchStrm:
-		return decodeBatchStrm(payload)
-	case frameBatchEpoch:
-		src, dest, seq, _, us, err = decodeBatchEpoch(payload)
-		return src, dest, seq, us, err
-	}
-	return 0, 0, 0, nil, fmt.Errorf("wire: not a stream batch frame")
+	src, dest, seq, _, us, err = decodeBatchEpoch(payload)
+	return src, dest, seq, us, err
 }
 
 func readFrameBytes(b []byte) (byte, []byte, error) {
@@ -515,8 +507,8 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 		s.Sent, s.Processed, s.Retries, s.Reconnects, s.Redeliveries,
 		s.Coalesced, s.DupDropped, s.Forwarded, s.Misdropped, s.EpochRejected,
 		math.Float64bits(s.DeltaShipped), math.Float64bits(s.DeltaFolded),
-		uint64(len(s.Rejected)),                     // v4: epoch-rejected seq records follow the outbound section
-		s.CreditStalls, s.ShedCoalesced, s.SlowPeer, // v5: overload-protection counters
+		uint64(len(s.Rejected)), // epoch-rejected seq records follow the outbound section
+		s.CreditStalls, s.ShedCoalesced, s.SlowPeer,
 	}
 	for _, v := range hdr {
 		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
@@ -551,7 +543,7 @@ func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
 		head := []uint64{
 			uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq,
 			uint64(len(ob.Unacked)), uint64(len(ob.Pending)),
-			ob.Window, // v5: last advertised credit window
+			ob.Window, // last advertised credit window
 		}
 		for _, v := range head {
 			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
@@ -667,20 +659,12 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 		return nil, fmt.Errorf("wire: unsupported snapshot version %d (supported %d..%d)",
 			version, peerSnapMinVersion, peerSnapVersion)
 	}
-	var nrej uint64
-	if version >= 4 {
-		if err := readU64(br, &nrej); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
-		}
-		if nrej > uint64(maxFrameBytes) {
-			return nil, fmt.Errorf("wire: snapshot header sizes out of range")
-		}
+	var nrej, creditStalls, shedCoalesced, slowPeer uint64
+	if err := readU64(br, &nrej, &creditStalls, &shedCoalesced, &slowPeer); err != nil {
+		return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
 	}
-	var creditStalls, shedCoalesced, slowPeer uint64
-	if version >= 5 {
-		if err := readU64(br, &creditStalls, &shedCoalesced, &slowPeer); err != nil {
-			return nil, fmt.Errorf("wire: reading snapshot header: %w", err)
-		}
+	if nrej > uint64(maxFrameBytes) {
+		return nil, fmt.Errorf("wire: snapshot header sizes out of range")
 	}
 	if id > uint64(^uint32(0)>>1) {
 		return nil, fmt.Errorf("wire: snapshot peer id %d out of range", id)
@@ -750,18 +734,12 @@ func DecodeSnapshot(r io.Reader) (*PeerSnapshot, error) {
 		})
 	}
 	for i := uint64(0); i < nout; i++ {
-		var src, dest, nextSeq, nun, npend uint64
-		if err := readU64(br, &src, &dest, &nextSeq, &nun, &npend); err != nil {
+		var src, dest, nextSeq, nun, npend, window uint64
+		if err := readU64(br, &src, &dest, &nextSeq, &nun, &npend, &window); err != nil {
 			return nil, fmt.Errorf("wire: reading snapshot outbound %d: %w", i, err)
 		}
-		var window uint64
-		if version >= 5 {
-			if err := readU64(br, &window); err != nil {
-				return nil, fmt.Errorf("wire: reading snapshot outbound %d: %w", i, err)
-			}
-			if window > uint64(maxFrameBytes) {
-				return nil, fmt.Errorf("wire: snapshot outbound window out of range")
-			}
+		if window > uint64(maxFrameBytes) {
+			return nil, fmt.Errorf("wire: snapshot outbound window out of range")
 		}
 		if src > uint64(^uint32(0)>>1) || dest > uint64(^uint32(0)>>1) {
 			return nil, fmt.Errorf("wire: snapshot outbound peer id out of range")

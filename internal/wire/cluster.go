@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -128,16 +127,14 @@ type ClusterConfig struct {
 	// ship cadence). 0 means 25ms; negative is rejected.
 	SlowThreshold time.Duration
 
-	// Transport dials every peer-to-peer connection; nil means the
-	// real TCP dialer. Tests inject a FaultTransport to script
-	// failures.
+	// Transport dials every peer-to-peer and observer connection; nil
+	// means the real TCP dialer. HTTPTransport runs the same cluster
+	// over HTTP upgrade handshakes; tests inject a FaultTransport to
+	// script failures.
 	Transport Transport
 
 	// Retry shapes reconnect/redelivery backoff (defaults apply).
 	Retry RetryPolicy
-
-	// Client overrides the HTTP client (HTTP clusters only).
-	Client *http.Client
 
 	// DebugAddr, when non-empty, starts the opt-in debug listener on
 	// that address (host:port; ":0" picks an ephemeral port) serving
@@ -149,7 +146,7 @@ type ClusterConfig struct {
 	TraceCap int
 }
 
-// NewCluster starts cfg.Peers TCP peers and distributes g's documents
+// NewCluster starts cfg.Peers peers and distributes g's documents
 // among them uniformly at random. Each document's GUID is also placed
 // on the membership ring at its owner, so ownership can migrate with
 // ring membership from then on.

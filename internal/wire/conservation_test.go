@@ -44,6 +44,18 @@ func assertRegistryConservation(t *testing.T, snap telemetry.Snapshot, ranks []f
 	}
 }
 
+// transportRows are the two ways peers connect: plain TCP and HTTP
+// connections upgraded to the frame protocol. Fault-injection tests run
+// once per row, with the FaultTransport wrapping the row's dialer, so
+// both transports face the same failure schedule on the same Peer.
+var transportRows = []struct {
+	name string
+	tr   func() Transport
+}{
+	{"tcp", TCPDialer},
+	{"http", HTTPTransport},
+}
+
 // TestTelemetryConservationUnderFaults is the observability answer to
 // the chaos suite: random power-law graphs run through the full
 // p2p+wire stack with lossy transport faults and one crash/restart
@@ -51,77 +63,72 @@ func assertRegistryConservation(t *testing.T, snap telemetry.Snapshot, ranks []f
 // telemetry registry alone — the same numbers an operator would scrape
 // from /metrics, not the internal result struct.
 func TestTelemetryConservationUnderFaults(t *testing.T) {
-	defer assertNoGoroutineLeaks(t)()
-	for _, seed := range []uint64{17, 303} {
-		g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, seed))
-		ft := NewFaultTransport(nil, FaultConfig{
-			Seed:      seed,
-			DropProb:  0.04,
-			ResetProb: 0.04,
-			DelayProb: 0.05,
-			MaxDelay:  time.Millisecond,
+	for _, row := range transportRows {
+		t.Run(row.name, func(t *testing.T) {
+			defer assertNoGoroutineLeaks(t)()
+			for _, seed := range []uint64{17, 303} {
+				conservationUnderFaults(t, row.tr(), seed)
+			}
 		})
-		c, err := NewCluster(g, ClusterConfig{Peers: 5, Epsilon: 1e-6, Seed: seed, Transport: ft})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		type runOut struct {
-			res ClusterResult
-			err error
-		}
-		resCh := make(chan runOut, 1)
-		go func() {
-			res, err := c.Run(120 * time.Second)
-			resCh <- runOut{res, err}
-		}()
-
-		// One kill/restart cycle mid-flight: the victim's registry is
-		// retained across the crash and its counters restore from the
-		// checkpoint, so the merged snapshot must still balance.
-		time.Sleep(10 * time.Millisecond)
-		if err := c.Kill(2); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
-		if err := c.Restart(2); err != nil {
-			t.Fatal(err)
-		}
-
-		out := <-resCh
-		if out.err != nil {
-			t.Fatal(out.err)
-		}
-		assertRanksMatch(t, g, out.res.Ranks, 1e-3)
-		assertRegistryConservation(t, c.TelemetrySnapshot(), out.res.Ranks)
-
-		// The registry and the public result struct are two views of
-		// the same instruments now; they must agree exactly.
-		snap := c.TelemetrySnapshot()
-		if got := snap.FloatValue("wire_delta_shipped"); got != out.res.DeltaShipped {
-			t.Fatalf("registry shipped %v != result shipped %v", got, out.res.DeltaShipped)
-		}
-		if got := snap.CounterValue("wire_retries"); got != out.res.Retries {
-			t.Fatalf("registry retries %d != result retries %d", got, out.res.Retries)
-		}
-		c.Close()
 	}
 }
 
-// TestTelemetryConservationHTTP runs the same registry audit over the
-// HTTP transport's cluster, whose snapshot merges per-peer registries
-// the same way.
-func TestTelemetryConservationHTTP(t *testing.T) {
-	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(300, 9))
-	c, err := NewHTTPCluster(g, ClusterConfig{Peers: 3, Epsilon: 1e-6, Seed: 9})
+func conservationUnderFaults(t *testing.T, inner Transport, seed uint64) {
+	t.Helper()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(500, seed))
+	ft := NewFaultTransport(inner, FaultConfig{
+		Seed:      seed,
+		DropProb:  0.04,
+		ResetProb: 0.04,
+		DelayProb: 0.05,
+		MaxDelay:  time.Millisecond,
+	})
+	c, err := NewCluster(g, ClusterConfig{Peers: 5, Epsilon: 1e-6, Seed: seed, Transport: ft})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err := c.Run(60 * time.Second)
-	if err != nil {
+
+	type runOut struct {
+		res ClusterResult
+		err error
+	}
+	resCh := make(chan runOut, 1)
+	go func() {
+		res, err := c.Run(120 * time.Second)
+		resCh <- runOut{res, err}
+	}()
+
+	// One kill/restart cycle mid-flight: the victim's registry is
+	// retained across the crash and its counters restore from the
+	// checkpoint, so the merged snapshot must still balance.
+	time.Sleep(10 * time.Millisecond)
+	if err := c.Kill(2); err != nil {
 		t.Fatal(err)
 	}
-	assertRanksMatch(t, g, res.Ranks, 1e-3)
-	assertRegistryConservation(t, c.TelemetrySnapshot(), res.Ranks)
+	time.Sleep(10 * time.Millisecond)
+	if err := c.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+
+	out := <-resCh
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	assertRanksMatch(t, g, out.res.Ranks, 1e-3)
+	assertNoMassLost(t, out.res)
+	assertRegistryConservation(t, c.TelemetrySnapshot(), out.res.Ranks)
+	if out.res.Retries == 0 || out.res.DupDropped == 0 {
+		t.Fatalf("faults forced no retries or duplicate suppression: %+v", out.res)
+	}
+
+	// The registry and the public result struct are two views of
+	// the same instruments now; they must agree exactly.
+	snap := c.TelemetrySnapshot()
+	if got := snap.FloatValue("wire_delta_shipped"); got != out.res.DeltaShipped {
+		t.Fatalf("registry shipped %v != result shipped %v", got, out.res.DeltaShipped)
+	}
+	if got := snap.CounterValue("wire_retries"); got != out.res.Retries {
+		t.Fatalf("registry retries %d != result retries %d", got, out.res.Retries)
+	}
 }

@@ -3,8 +3,8 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
 	"sync"
 	"time"
 
@@ -103,9 +103,6 @@ type PeerConfig struct {
 	// Retry shapes reconnect/redelivery backoff; zero fields get
 	// defaults.
 	Retry RetryPolicy
-
-	// Client is used by HTTP peers only; nil means a default client.
-	Client *http.Client
 
 	// Registry receives the peer's instruments (wire_sent,
 	// wire_delta_shipped, ...); nil means a private registry, which
@@ -243,25 +240,25 @@ type Peer struct {
 	trace *telemetry.Trace
 }
 
-// inItem is one inbox entry: a batch of updates plus, for sequenced
-// remote frames, the stream metadata the processing loop needs to
-// suppress duplicates and acknowledge folding. Membership operations
-// (handoff adoption, document shedding) also travel through the inbox
-// so they serialize with folding without extra locks.
+// inItem is one inbox entry: a batch of updates plus, for remote
+// frames (seqed), the stream metadata the processing loop needs to
+// suppress duplicates, fence stale epochs and acknowledge folding.
+// Membership operations (handoff adoption, document shedding) also
+// travel through the inbox so they serialize with folding without
+// extra locks.
 type inItem struct {
 	from     p2p.PeerID
 	origDest p2p.PeerID
 	seq      uint64
+	epoch    uint64 // the sender's ownership epoch for origDest
 	seqed    bool
 	us       []p2p.Update
-	ack      func() // transmits the cumulative ack; nil for local items
 
-	// Epoch fencing: hasEpoch marks frames that carry the sender's
-	// ownership epoch for origDest; nack transmits the per-frame
-	// stale-epoch rejection with this receiver's current epoch.
-	epoch    uint64
-	hasEpoch bool
-	nack     func(cur uint64)
+	// Set on seqed items only: ack transmits the cumulative credit ack,
+	// nack the per-frame stale-epoch rejection with this receiver's
+	// current epoch.
+	ack  func()
+	nack func(cur uint64)
 
 	adopt *Handoff // nil unless this item carries a state handoff
 	shed  *shedReq // nil unless this item requests a document shed
@@ -662,7 +659,10 @@ func (cw *connWriter) write(typ byte, payload []byte) error {
 	return writeFrame(cw.conn, typ, payload)
 }
 
-// serveConn handles one inbound connection's frames.
+// serveConn handles one inbound connection's frames. The first four
+// bytes decide the connection's dialect: "GET " opens the HTTP upgrade
+// handshake, anything else is the first frame's length prefix. Either
+// way the rest of the connection is the frame loop below.
 func (p *Peer) serveConn(conn net.Conn) {
 	defer p.wg.Done()
 	p.inMu.Lock()
@@ -675,49 +675,26 @@ func (p *Peer) serveConn(conn net.Conn) {
 		p.inMu.Unlock()
 	}()
 	cw := &connWriter{conn: conn}
+	pre := make([]byte, len(httpPrefix))
+	//dpr:nodeadline inbound conns may idle before their first frame like between any two; teardown is via Close from the failure detector or peer shutdown
+	if _, err := io.ReadFull(conn, pre); err != nil {
+		return
+	}
+	var r io.Reader = &prefixConn{Conn: conn, pre: pre}
+	if string(pre) == httpPrefix {
+		up, err := serverUpgrade(conn, pre)
+		if err != nil {
+			return
+		}
+		r = up
+	}
 	for {
 		//dpr:nodeadline inbound conns idle between sender batches by design; teardown is via Close from the failure detector or peer shutdown
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(r)
 		if err != nil {
 			return
 		}
 		switch typ {
-		case frameBatch:
-			// Legacy unsequenced batch: folded without dedup or ack.
-			us, err := decodeBatch(payload)
-			if err != nil {
-				return
-			}
-			select {
-			case p.bulk <- inItem{us: us}:
-			case <-p.quit:
-				return
-			}
-		case frameBatchSeq:
-			// Legacy sequenced batch: stream dest is implicitly us.
-			from, seq, us, err := decodeBatchSeq(payload)
-			if err != nil {
-				return
-			}
-			it := inItem{from: from, origDest: p.cfg.ID, seq: seq, seqed: true, us: us,
-				ack: func() { cw.write(frameAck, encodeAck(seq)) }}
-			select {
-			case p.bulk <- it:
-			case <-p.quit:
-				return
-			}
-		case frameBatchStrm:
-			from, origDest, seq, us, err := decodeBatchStrm(payload)
-			if err != nil {
-				return
-			}
-			it := inItem{from: from, origDest: origDest, seq: seq, seqed: true, us: us,
-				ack: func() { cw.write(frameAck, encodeAck(seq)) }}
-			select {
-			case p.bulk <- it:
-			case <-p.quit:
-				return
-			}
 		case frameBatchEpoch:
 			from, origDest, seq, epoch, us, err := decodeBatchEpoch(payload)
 			if err != nil {
@@ -726,8 +703,7 @@ func (p *Peer) serveConn(conn net.Conn) {
 			// Acks on the epoch path are credit frames: the cumulative ack
 			// plus this receiver's advertised window, computed at ack time
 			// so it reflects current bulk-lane occupancy.
-			it := inItem{from: from, origDest: origDest, seq: seq, seqed: true, us: us,
-				epoch: epoch, hasEpoch: true,
+			it := inItem{from: from, origDest: origDest, seq: seq, epoch: epoch, seqed: true, us: us,
 				ack:  func() { cw.write(frameCredit, encodeCredit(seq, p.advertiseWindow())) },
 				nack: func(cur uint64) { cw.write(frameNackEpoch, encodeNackEpoch(seq, cur)) }}
 			select {
@@ -770,13 +746,6 @@ func (p *Peer) serveConn(conn net.Conn) {
 			if err := cw.write(frameRanks, encodeRanks(docs, ranks)); err != nil {
 				return
 			}
-		case frameStop:
-			select {
-			case <-p.quit:
-			default:
-				close(p.quit)
-			}
-			return
 		default:
 			return // protocol violation: drop the connection
 		}
@@ -873,37 +842,31 @@ func (p *Peer) consume(items []inItem) {
 			_, wasRejected := p.rejected[key][it.seq]
 			if it.seq <= p.lastSeq[key] && !wasRejected {
 				p.m.dupDropped.Add(1)
-				if it.ack != nil {
-					it.ack() // re-ack so the sender can discard the frame
-				}
+				it.ack() // re-ack so the sender can discard the frame
 				continue
 			}
-			if it.hasEpoch {
-				local := p.epochOf(it.origDest)
-				if it.epoch < local {
-					// The sender missed an ownership transfer of this key
-					// range: reject without folding or advancing dedup. The
-					// nack carries our epoch so the sender catches up and
-					// re-routes the updates by its refreshed owner table.
-					p.m.epochRejected.Add(1)
-					p.event(telemetry.EvEpochReject, float64(it.epoch), int64(it.origDest))
-					if p.rejected[key] == nil {
-						p.rejected[key] = make(map[uint64]struct{})
-					}
-					p.rejected[key][it.seq] = struct{}{}
-					if it.nack != nil {
-						it.nack(local)
-					}
-					continue
+			local := p.epochOf(it.origDest)
+			if it.epoch < local {
+				// The sender missed an ownership transfer of this key
+				// range: reject without folding or advancing dedup. The
+				// nack carries our epoch so the sender catches up and
+				// re-routes the updates by its refreshed owner table.
+				p.m.epochRejected.Add(1)
+				p.event(telemetry.EvEpochReject, float64(it.epoch), int64(it.origDest))
+				if p.rejected[key] == nil {
+					p.rejected[key] = make(map[uint64]struct{})
 				}
-				if it.epoch > local {
-					// We are the ones behind. The frame's epoch proves the
-					// transfer that minted it already happened, so adopt the
-					// number and fold: an eviction always stops the previous
-					// owner before its range migrates, so a higher-epoch
-					// frame can never race a live older owner.
-					p.adoptEpoch(it.origDest, it.epoch)
-				}
+				p.rejected[key][it.seq] = struct{}{}
+				it.nack(local)
+				continue
+			}
+			if it.epoch > local {
+				// We are the ones behind. The frame's epoch proves the
+				// transfer that minted it already happened, so adopt the
+				// number and fold: an eviction always stops the previous
+				// owner before its range migrates, so a higher-epoch
+				// frame can never race a live older owner.
+				p.adoptEpoch(it.origDest, it.epoch)
 			}
 			if wasRejected {
 				delete(p.rejected[key], it.seq)
@@ -922,9 +885,7 @@ func (p *Peer) consume(items []inItem) {
 		batch = p.handle(batch)
 	}
 	for _, it := range acks {
-		if it.ack != nil {
-			it.ack()
-		}
+		it.ack()
 	}
 }
 
@@ -1542,8 +1503,6 @@ func (s *sender) readAcks(c net.Conn) {
 		}
 		var seq uint64
 		switch typ {
-		case frameAck:
-			seq, err = decodeAck(payload)
 		case frameCredit:
 			// A credit frame is a cumulative ack carrying the receiver's
 			// refreshed window; adopt the window before discarding frames

@@ -1,16 +1,17 @@
-// Package wire runs the distributed pagerank computation over real TCP
-// connections — the paper's closing proposal ("by augmenting web
-// servers and the HTTP protocol to exchange messages, web servers can
-// be collectively responsible for computing the pageranks for
-// documents they host"). Each peer is a TCP server owning a share of
-// the documents; pagerank update batches travel as length-prefixed
-// binary frames; global quiescence is detected with a two-probe
-// counter protocol in the style of Mattern's termination detection.
+// Package wire runs the distributed pagerank computation over real
+// network connections — the paper's closing proposal ("by augmenting
+// web servers and the HTTP protocol to exchange messages, web servers
+// can be collectively responsible for computing the pageranks for
+// documents they host"). Each peer is a server owning a share of the
+// documents; pagerank update batches travel as length-prefixed binary
+// frames, over plain TCP or over an HTTP connection upgraded to the
+// frame protocol (HTTPTransport); global quiescence is detected with a
+// two-probe counter protocol in the style of Mattern's termination
+// detection.
 //
 // The package is used by the Cluster helper (all peers in one process,
-// separate sockets on localhost) for tests and demos, but Peer speaks
-// plain TCP and carries no process-local assumptions beyond the shared
-// read-only graph.
+// separate sockets on localhost) for tests and demos, but Peer carries
+// no process-local assumptions beyond the shared read-only graph.
 package wire
 
 import (
@@ -25,38 +26,34 @@ import (
 
 // Frame types.
 const (
-	frameBatch     = 'B' // updates: u32 n, then n x (u32 doc, f64 delta)
-	frameBatchSeq  = 'U' // u32 sender, u64 seq, then a batch payload
-	frameBatchStrm = 'V' // u32 sender, u32 origDest, u64 seq, then a batch payload
-	frameAck       = 'A' // u64 seq: every frame with seq <= it has been folded
-	frameSnapReq   = 'Q' // termination probe request
-	frameSnapResp  = 'S' // u64 sent, u64 processed
-	frameRanksReq  = 'R' // rank collection request
-	frameRanks     = 'K' // u32 n, then n x (u32 doc, f64 rank)
-	framePing      = 'P' // failure-detector heartbeat request
-	framePong      = 'O' // heartbeat response
-	frameStop      = 'X' // shut down
+	frameSnapReq  = 'Q' // termination probe request
+	frameSnapResp = 'S' // u64 sent, u64 processed
+	frameRanksReq = 'R' // rank collection request
+	frameRanks    = 'K' // u32 n, then n x (u32 doc, f64 rank)
+	framePing     = 'P' // failure-detector heartbeat request
+	framePong     = 'O' // heartbeat response
 
-	// Partition-tolerance frames. frameBatchEpoch supersedes
-	// frameBatchStrm on the live path: it carries the sender's epoch for
-	// the destination key range, so a receiver can fence out frames from
-	// senders that missed an ownership transfer. frameNackEpoch is the
-	// receiver's stale-epoch rejection (carrying its current epoch, so
-	// the sender can catch up and re-route). frameViewReq/frameViewResp
-	// exchange (membership, epoch vector) digests for anti-entropy after
-	// a partition heals.
+	// frameBatchEpoch is the one update frame: the stream identity
+	// (sender, origDest), a per-stream sequence number for exactly-once
+	// folding, and the sender's epoch for the destination key range, so
+	// a receiver can fence out frames from senders that missed an
+	// ownership transfer. frameNackEpoch is the receiver's stale-epoch
+	// rejection (carrying its current epoch, so the sender can catch up
+	// and re-route). frameViewReq/frameViewResp exchange (membership,
+	// epoch vector) digests for anti-entropy after a partition heals.
 	frameBatchEpoch = 'E' // u32 sender, u32 origDest, u64 seq, u64 epoch, then a batch payload
 	frameNackEpoch  = 'N' // u64 seq, u64 epoch: per-frame stale-epoch rejection
 	frameViewReq    = 'W' // anti-entropy request: a view-digest payload
 	frameViewResp   = 'D' // anti-entropy response: a view-digest payload
 
-	// frameCredit is the flow-controlled acknowledgement that supersedes
-	// frameAck on the epoch-batch path: the cumulative ack seq plus the
-	// receiver's advertised credit window — the number of frames the
-	// sender may keep in flight on this stream. A shrinking window is how
-	// an overloaded receiver pushes back without dropping rank mass; the
-	// advertised window is never zero, so a stalled stream always retains
-	// the right to one in-flight frame and progress is guaranteed.
+	// frameCredit is the flow-controlled acknowledgement of update
+	// frames: the cumulative ack seq (every frame with seq <= it has
+	// been folded) plus the receiver's advertised credit window — the
+	// number of frames the sender may keep in flight on this stream. A
+	// shrinking window is how an overloaded receiver pushes back without
+	// dropping rank mass; the advertised window is never zero, so a
+	// stalled stream always retains the right to one in-flight frame and
+	// progress is guaranteed.
 	frameCredit = 'C' // u64 seq, u32 window
 )
 
@@ -127,106 +124,6 @@ func decodeBatch(b []byte) ([]p2p.Update, error) {
 		off += 12
 	}
 	return us, nil
-}
-
-// batchSeqHeader is the length of the (sender, seq) prefix a
-// sequenced batch carries in front of the plain batch payload.
-const batchSeqHeader = 12
-
-// encodeBatchSeq serializes a sequenced batch: the sender's identity
-// and a per-(sender, destination) sequence number prefix the plain
-// batch payload so receivers can suppress redelivered duplicates.
-func encodeBatchSeq(sender p2p.PeerID, seq uint64, us []p2p.Update) []byte {
-	buf := make([]byte, batchSeqHeader+4+12*len(us))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(sender))
-	binary.LittleEndian.PutUint64(buf[4:12], seq)
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(us)))
-	off := 16
-	for _, u := range us {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(u.Doc))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(u.Delta))
-		off += 12
-	}
-	return buf
-}
-
-// decodeBatchSeq parses a sequenced batch payload.
-func decodeBatchSeq(b []byte) (sender p2p.PeerID, seq uint64, us []p2p.Update, err error) {
-	if len(b) < batchSeqHeader {
-		return 0, 0, nil, fmt.Errorf("wire: sequenced batch too short")
-	}
-	sender = p2p.PeerID(binary.LittleEndian.Uint32(b[:4]))
-	if sender < 0 {
-		return 0, 0, nil, fmt.Errorf("wire: sequenced batch from negative sender %d", sender)
-	}
-	seq = binary.LittleEndian.Uint64(b[4:12])
-	us, err = decodeBatch(b[batchSeqHeader:])
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	return sender, seq, us, nil
-}
-
-// batchStrmHeader is the length of the (sender, origDest, seq) prefix
-// a stream-identified batch carries in front of the plain batch
-// payload.
-const batchStrmHeader = 16
-
-// encodeBatchStrm serializes a stream-identified batch. The stream is
-// the pair (sender, origDest): origDest is the peer the batch was
-// originally framed for, which under dynamic membership may differ
-// from the peer that ends up folding it — a departed peer's document
-// range, duplicate-suppression tables and unacknowledged inbound
-// frames all migrate to its ring successor, and the successor dedups
-// each redirected frame against the (sender, origDest) stream it was
-// sequenced on. For a static cluster origDest always equals the
-// receiving peer and the frame behaves exactly like frameBatchSeq.
-func encodeBatchStrm(sender, origDest p2p.PeerID, seq uint64, us []p2p.Update) []byte {
-	buf := make([]byte, batchStrmHeader+4+12*len(us))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(sender))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(origDest))
-	binary.LittleEndian.PutUint64(buf[8:16], seq)
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(us)))
-	off := 20
-	for _, u := range us {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(u.Doc))
-		binary.LittleEndian.PutUint64(buf[off+4:], math.Float64bits(u.Delta))
-		off += 12
-	}
-	return buf
-}
-
-// decodeBatchStrm parses a stream-identified batch payload.
-func decodeBatchStrm(b []byte) (sender, origDest p2p.PeerID, seq uint64, us []p2p.Update, err error) {
-	if len(b) < batchStrmHeader {
-		return 0, 0, 0, nil, fmt.Errorf("wire: stream batch too short")
-	}
-	sender = p2p.PeerID(binary.LittleEndian.Uint32(b[:4]))
-	origDest = p2p.PeerID(binary.LittleEndian.Uint32(b[4:8]))
-	if sender < 0 || origDest < 0 {
-		return 0, 0, 0, nil, fmt.Errorf("wire: stream batch with negative peer id")
-	}
-	seq = binary.LittleEndian.Uint64(b[8:16])
-	us, err = decodeBatch(b[batchStrmHeader:])
-	if err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return sender, origDest, seq, us, nil
-}
-
-// encodeAck serializes a cumulative acknowledgement.
-func encodeAck(seq uint64) []byte {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, seq)
-	return buf
-}
-
-// decodeAck parses an acknowledgement payload.
-func decodeAck(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("wire: ack payload %d bytes", len(b))
-	}
-	return binary.LittleEndian.Uint64(b), nil
 }
 
 // encodeCredit serializes a flow-controlled acknowledgement: the
@@ -309,11 +206,17 @@ func decodeRanks(b []byte, out []float64) (int, error) {
 // payload.
 const batchEpochHeader = 24
 
-// encodeBatchEpoch serializes an epoch-stamped stream batch: a
-// frameBatchStrm payload extended with the epoch of the origDest key
-// range as the sender last learned it. Receivers reject (nack) frames
-// whose epoch is behind their own view of the range, which fences a
-// healed minority out of ranges that migrated while it was cut off.
+// encodeBatchEpoch serializes an epoch-stamped stream batch. The
+// stream is the pair (sender, origDest): origDest is the peer the batch
+// was originally framed for, which under dynamic membership may differ
+// from the peer that ends up folding it — a departed peer's document
+// range, duplicate-suppression tables and unacknowledged inbound frames
+// all migrate to its ring successor, which dedups each redirected frame
+// against the stream it was sequenced on. The epoch is that of the
+// origDest key range as the sender last learned it. Receivers reject
+// (nack) frames whose epoch is behind their own view of the range,
+// which fences a healed minority out of ranges that migrated while it
+// was cut off.
 func encodeBatchEpoch(sender, origDest p2p.PeerID, seq, epoch uint64, us []p2p.Update) []byte {
 	buf := make([]byte, batchEpochHeader+4+12*len(us))
 	binary.LittleEndian.PutUint32(buf[:4], uint32(sender))

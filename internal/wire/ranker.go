@@ -10,8 +10,9 @@ import (
 )
 
 // ranker is the transport-independent per-peer computation: the
-// chaotic-iteration state for the documents one peer owns, shared by
-// the TCP and HTTP peers. All methods are safe for concurrent use.
+// chaotic-iteration state for the documents one peer owns, the same
+// whether the peer's connections are plain TCP or HTTP-upgraded. All
+// methods are safe for concurrent use.
 //
 // Under dynamic membership the document set is mutable: adopt appends
 // a departed peer's rows, shed extracts rows for a joining peer, and

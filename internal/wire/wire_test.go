@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -14,28 +18,28 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameBatch, []byte("hello")); err != nil {
+	if err := writeFrame(&buf, frameBatchEpoch, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != frameBatch || string(payload) != "hello" {
+	if typ != frameBatchEpoch || string(payload) != "hello" {
 		t.Fatalf("round trip: %c %q", typ, payload)
 	}
 	// Empty payload.
-	if err := writeFrame(&buf, frameStop, nil); err != nil {
+	if err := writeFrame(&buf, framePing, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = readFrame(&buf)
-	if err != nil || typ != frameStop || len(payload) != 0 {
+	if err != nil || typ != framePing || len(payload) != 0 {
 		t.Fatalf("empty frame: %c %v %v", typ, payload, err)
 	}
 }
 
 func TestFrameRejectsHugeLength(t *testing.T) {
-	raw := []byte{0xff, 0xff, 0xff, 0xff, 'B'}
+	raw := []byte{0xff, 0xff, 0xff, 0xff, 'E'}
 	if _, _, err := readFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("accepted 4GB frame header")
 	}
@@ -180,6 +184,18 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPClusterValidation checks that a cluster or peer set up over
+// HTTPTransport rejects the same bad configurations as one over TCP.
+func TestHTTPClusterValidation(t *testing.T) {
+	g := graph.Cycle(3)
+	if _, err := NewCluster(g, ClusterConfig{Peers: 0, Transport: HTTPTransport()}); err == nil {
+		t.Fatal("accepted zero peers")
+	}
+	if _, err := NewPeer(PeerConfig{Transport: HTTPTransport()}); err == nil {
+		t.Fatal("accepted nil graph")
+	}
+}
+
 func TestPeerRejectsGarbageConnection(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
 	g := graph.Cycle(4)
@@ -203,4 +219,146 @@ func TestPeerRejectsGarbageConnection(t *testing.T) {
 	}
 	_ = s
 	_ = pr
+}
+
+// TestStopFrameIsProtocolViolation checks that no frame from the
+// network can stop a peer: a remote stop would halt the processing
+// loop while the listener stayed open, leaving a half-dead peer the
+// cluster still counts as live. 'X' is an unknown frame type, so the
+// peer drops that connection and the cluster still quiesces at the
+// centralized ranks.
+func TestStopFrameIsProtocolViolation(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(300, 37))
+	c, err := NewCluster(g, ClusterConfig{Peers: 3, Epsilon: 1e-6, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	conn, err := net.DialTimeout("tcp", c.slots().addrs[1], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(conn, 'X', nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("peer kept the connection open after an 'X' frame: %v", err)
+	}
+	res, err := c.Run(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertRanksMatch(t, g, res.Ranks, 1e-3)
+	assertNoMassLost(t, res)
+}
+
+// TestHTTPUpgradeHandshake drives the accept side of the HTTP upgrade
+// with raw requests — a wrong path is answered 404 and a request
+// without the Upgrade header 400, both followed by a close — and then
+// runs the whole cluster over HTTPTransport, so every peer-to-peer
+// frame, probe and rank collection rides an upgraded connection.
+func TestHTTPUpgradeHandshake(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(400, 131))
+	c, err := NewCluster(g, ClusterConfig{Peers: 3, Epsilon: 1e-6, Seed: 1, Transport: HTTPTransport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	addr := c.slots().addrs[0]
+	reject := func(t *testing.T, req string, want int) {
+		t.Helper()
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.WriteString(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("status %d, want %d", resp.StatusCode, want)
+		}
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Fatalf("connection still open after a rejected handshake: %v", err)
+		}
+	}
+	t.Run("bad_path", func(t *testing.T) {
+		reject(t, "GET /index.html HTTP/1.1\r\nHost: x\r\nConnection: Upgrade\r\nUpgrade: "+upgradeProtocol+"\r\n\r\n",
+			http.StatusNotFound)
+	})
+	t.Run("missing_upgrade", func(t *testing.T) {
+		reject(t, "GET "+upgradePath+" HTTP/1.1\r\nHost: x\r\n\r\n", http.StatusBadRequest)
+	})
+	t.Run("dial_side", func(t *testing.T) {
+		// A fake server that checks the request, then answers with the
+		// 101 and a first frame in one write: the frame lands in the
+		// dialer's response buffer and must still be read off the conn.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		errc := make(chan error, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			req, err := http.ReadRequest(bufio.NewReader(conn))
+			if err != nil {
+				errc <- err
+				return
+			}
+			if req.URL.Path != upgradePath || req.Header.Get("Upgrade") != upgradeProtocol {
+				errc <- fmt.Errorf("unexpected request %s %v", req.URL, req.Header)
+				return
+			}
+			var out bytes.Buffer
+			out.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + upgradeProtocol + "\r\n\r\n")
+			writeFrame(&out, frameSnapResp, encodeSnapshot(3, 2))
+			_, err = conn.Write(out.Bytes())
+			errc <- err
+		}()
+		conn, err := HTTPTransport().Dial(Observer, Observer, ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		typ, payload, err := readFrame(conn)
+		if err != nil || typ != frameSnapResp {
+			t.Fatalf("first frame after the 101: %c %v", typ, err)
+		}
+		if sent, processed, err := decodeSnapshot(payload); err != nil || sent != 3 || processed != 2 {
+			t.Fatalf("snapshot %d/%d %v", sent, processed, err)
+		}
+	})
+	t.Run("good_handshake", func(t *testing.T) {
+		res, err := c.Run(60 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Messages == 0 || res.Probes == 0 {
+			t.Fatalf("missing stats: %+v", res)
+		}
+		assertRanksMatch(t, g, res.Ranks, 1e-3)
+		assertNoMassLost(t, res)
+	})
 }

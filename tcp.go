@@ -88,26 +88,25 @@ func (o Options) clusterConfig() wire.ClusterConfig {
 // corrupts the final ranks.
 func ComputePageRankOverTCP(g *Graph, opt Options, timeout time.Duration) (TCPResult, error) {
 	opt = opt.withDefaults()
-	cluster, err := wire.NewCluster(g, opt.clusterConfig())
-	if err != nil {
-		return TCPResult{}, err
-	}
-	defer cluster.Close()
-	res, err := cluster.Run(timeout)
-	if err != nil {
-		return TCPResult{}, err
-	}
-	return fromClusterResult(res), nil
+	return runCluster(g, opt.clusterConfig(), timeout)
 }
 
 // ComputePageRankOverHTTP is ComputePageRankOverTCP with the paper's
-// section 8 transport taken literally: each peer is a web server whose
-// HTTP interface is augmented with pagerank endpoints, and update
-// batches travel as POST requests. Transient POST failures are retried
-// with capped backoff; sequence numbers make redelivery exactly-once.
+// section 8 transport taken literally: every connection between peers
+// (and every termination probe and rank collection) opens as an
+// HTTP/1.1 request to the peer's /pagerank endpoint and upgrades to the
+// binary frame protocol. The peers are the same as over TCP, so the
+// HTTP deployment has the same store-and-retry delivery, exactly-once
+// folding, epoch fencing, credit flow control and checkpoints.
 func ComputePageRankOverHTTP(g *Graph, opt Options, timeout time.Duration) (TCPResult, error) {
 	opt = opt.withDefaults()
-	cluster, err := wire.NewHTTPCluster(g, opt.clusterConfig())
+	cfg := opt.clusterConfig()
+	cfg.Transport = wire.HTTPTransport()
+	return runCluster(g, cfg, timeout)
+}
+
+func runCluster(g *Graph, cfg wire.ClusterConfig, timeout time.Duration) (TCPResult, error) {
+	cluster, err := wire.NewCluster(g, cfg)
 	if err != nil {
 		return TCPResult{}, err
 	}
