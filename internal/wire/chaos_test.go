@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -235,6 +237,123 @@ func TestKillWhileIdleThenRestart(t *testing.T) {
 		}
 	}
 	assertNoMassLost(t, out.res)
+}
+
+// TestKillKeepsQueuedSelfUpdates pins that a crash strands no
+// self-directed update. Such updates are counted sent when shipped and
+// no sender retransmits them, so whatever still waits for the
+// processing loop at Kill — queued in the bulk lane, or handed over
+// after the shutdown began — must leave in the snapshot as pending
+// updates and fold after the restart. The schedule is forced without
+// sleeps: the test holds the view lock, which parks the loop inside
+// consume at the epoch check of a sequenced frame, fills the one-slot
+// bulk lane behind it, and hands over one more update only once Kill
+// has closed the peer.
+func TestKillKeepsQueuedSelfUpdates(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(200, 51))
+	c, err := NewCluster(g, ClusterConfig{Peers: 2, Epsilon: 1e-6, Seed: 5, InboxCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, own := c.peers[0], c.docs[0]
+	// Each injected update plays one peer 0 shipped to itself: counted
+	// sent, its delta counted shipped.
+	ship := func(d graph.NodeID) []p2p.Update {
+		p.m.sent.Add(1)
+		p.m.deltaShipped.Add(0.01)
+		return []p2p.Update{{Doc: d, Delta: 0.01}}
+	}
+	p.peersMu.Lock()
+	p.bulk <- inItem{from: 0, origDest: 0, seq: 1, seqed: true, us: ship(own[0]),
+		ack: func() {}, nack: func(uint64) {}}
+	for p.m.inboxOccupancy.Load() != 1 {
+		runtime.Gosched() // the loop drained the frame and is entering consume
+	}
+	p.foldLater(p.reroute(ship(own[1]))) // queued behind the parked loop
+	killed := make(chan error, 1)
+	go func() { killed <- c.Kill(0) }()
+	<-p.quit
+	p.foldLater(p.reroute(ship(own[2]))) // the lane is full and the peer closed
+	p.peersMu.Unlock()
+	if err := <-killed; err != nil {
+		t.Fatal(err)
+	}
+	snap := c.snaps[0]
+	var pending uint64
+	for _, ob := range snap.Outbound {
+		pending += uint64(len(ob.Pending))
+		for _, uf := range ob.Unacked {
+			pending += uint64(len(uf.Updates))
+		}
+	}
+	if snap.Sent != snap.Processed+pending {
+		t.Fatalf("snapshot strands updates: sent %d, processed %d + pending %d",
+			snap.Sent, snap.Processed, pending)
+	}
+	if err := c.Restart(0); err != nil {
+		t.Fatal(err)
+	}
+	// Peer 0 crashed before its initial push, so its ranks never settle
+	// to the centralized ones; what must hold is quiescence and
+	// conservation.
+	res, err := c.Run(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertNoMassLost(t, res)
+}
+
+// TestReconnectResendsOldestUnackedFirst pins the sender's ordering
+// across a reconnect. Frame 1 went out on a connection that has since
+// died, and the cursor already points past it at frame 2 — the state a
+// successful write leaves when the ack path tears the connection down
+// right after. The new connection must carry frame 1 first: a receiver
+// folding frame 2 first acknowledges both cumulatively, and frame 1's
+// updates would be discarded without ever folding.
+func TestReconnectResendsOldestUnackedFirst(t *testing.T) {
+	defer assertNoGoroutineLeaks(t)()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	g := graph.Cycle(2)
+	p, err := NewPeer(PeerConfig{ID: 0, Graph: g, DocPeer: []p2p.PeerID{0, 1}, Docs: []graph.NodeID{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.SetPeers([]string{p.Addr(), ln.Addr().String()})
+	st := stream{src: 0, dest: 1}
+	s := p.newSender(st)
+	for seq := uint64(1); seq <= 2; seq++ {
+		us := []p2p.Update{{Doc: 1, Delta: float64(seq)}}
+		s.unacked = append(s.unacked, &frameRec{seq: seq, updates: 1,
+			bytes: frameBytes(frameBatchEpoch, encodeBatchEpoch(0, 1, seq, 0, us))})
+	}
+	s.nextSeq, s.sendSeq = 3, 2
+	p.sendMu.Lock()
+	p.senders[st] = s
+	p.wg.Add(1)
+	go s.loop()
+	p.sendMu.Unlock()
+	s.wakeUp()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	typ, payload, err := readFrame(conn)
+	if err != nil || typ != frameBatchEpoch {
+		t.Fatalf("first frame on the new connection: %c %v", typ, err)
+	}
+	if _, _, seq, _, _, err := decodeBatchEpoch(payload); err != nil || seq != 1 {
+		t.Fatalf("new connection opened with seq %d (%v), want the oldest unacked seq 1", seq, err)
+	}
 }
 
 // TestPartitionParksUpdatesUntilHealed verifies churn-safe

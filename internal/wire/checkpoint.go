@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,25 +13,33 @@ import (
 	"dpr/internal/p2p"
 )
 
-// Peer crash/restart follows internal/core's checkpoint design: the
-// durable state is the per-document ranker triple (rank, accumulator,
-// last-pushed value), serialized in the same magic/version/records
-// layout, extended with the wire layer's recovery state — the
-// duplicate-suppression table and the store-and-retry outbound queues
-// (unacknowledged frames verbatim plus coalesced pending updates).
-// Restoring a snapshot into a fresh Peer resumes the computation
-// exactly where the crash left it: senders redeliver everything
-// unacknowledged, receivers suppress what was already folded, and the
-// termination counters carry over so the cluster-wide probe stays
-// exact across the crash.
+// PeerSnapshot is the one form in which a peer's durable state moves.
+// It follows internal/core's checkpoint design: the per-document
+// ranker triple (rank, accumulator, last-pushed value), serialized in
+// the same magic/version/records layout, extended with the wire
+// layer's recovery state — the duplicate-suppression table and the
+// store-and-retry outbound queues (unacknowledged frames verbatim plus
+// coalesced pending updates).
+//
+// Every transfer is a snapshot applied by one processing-loop function
+// (applyAdopt): Kill writes one, RestorePeer resumes a crashed peer
+// from it (and alone also restores its counters), Adopt hands a
+// departed peer's to its live ring successor, and Join starts a fresh
+// peer from the rows its successor shed. A crashed successor gets the
+// departed snapshot merged into its own (MergeSnapshot) and applies it
+// on restart. Senders redeliver everything unacknowledged, receivers
+// suppress what was already folded, pending updates are re-homed by
+// the current owner table, and the termination counters carry over so
+// the cluster-wide probe stays exact across the crash.
 //
 // The duplicate-suppression table and the outbound queues are keyed
 // by delivery stream (source, original destination) instead of by
 // single peer, which is what lets a departed peer's state migrate: its
 // ring successor adopts the dedup entries and the unacknowledged frames
 // under their original stream identity, so redirected retransmissions
-// are recognized wherever they land. The same framing doubles as the
-// handoff wire format (Handoff).
+// are recognized wherever they land. Self-directed updates that were
+// counted sent but not yet folded travel as the pending updates of the
+// self stream (Src == Dest == ID), so no transfer strands them.
 //
 // Beyond the ranker rows and the stream tables the snapshot carries:
 //   - the ownership-epoch vector (one fencing epoch per ring slot) and
@@ -64,7 +73,8 @@ const (
 	peerSnapMinVersion = peerSnapVersion
 )
 
-// PeerSnapshot is a crashed peer's durable state.
+// PeerSnapshot is a peer's durable state, or the part of it that moves
+// to another peer (rows, stream tables, epochs and outbound queues).
 type PeerSnapshot struct {
 	ID   p2p.PeerID
 	Docs []graph.NodeID
@@ -118,7 +128,7 @@ type OutboundState struct {
 	NextSeq uint64
 	Window  uint64         // last advertised credit window (0: use configured default)
 	Unacked []UnackedFrame // framed, possibly transmitted, not acknowledged
-	Pending []p2p.Update   // coalesced, not yet framed (Src == snapshot owner only)
+	Pending []p2p.Update   // counted sent, not yet framed or folded
 }
 
 // UnackedFrame is a framed batch that must be redelivered verbatim
@@ -129,115 +139,43 @@ type UnackedFrame struct {
 	Updates []p2p.Update
 }
 
-// Handoff is the state transferred when a departed peer's document
-// range moves to its ring successor: the ranker rows for the migrated
-// documents, the per-stream duplicate-suppression table, and the
-// departed peer's outbound queues (unacknowledged frames under their
-// original stream identity, plus parked never-framed updates). It is
-// the in-memory form of the same state a PeerSnapshot serializes.
-type Handoff struct {
-	Docs            []graph.NodeID
-	Rank, Acc, Last []float64
-	LastSeq         map[stream]uint64
-	Rejected        []SeqEntry // epoch-rejected seqs, exempt from dedup
-	Outbound        []OutboundState
-	Epochs          []uint64 // departed peer's ownership-epoch vector
-
-	done chan struct{} // closed by the adopting peer's processing loop
-}
-
-// HandoffFromSnapshot builds the handoff a departed peer's snapshot
-// implies: everything except its counters, which the cluster folds
-// into its departed-peer accumulators instead.
-func HandoffFromSnapshot(s *PeerSnapshot) *Handoff {
-	h := &Handoff{
-		Docs:    append([]graph.NodeID(nil), s.Docs...),
-		Rank:    append([]float64(nil), s.Rank...),
-		Acc:     append([]float64(nil), s.Acc...),
-		Last:    append([]float64(nil), s.Last...),
-		LastSeq: make(map[stream]uint64, len(s.LastSeq)),
-		Epochs:  append([]uint64(nil), s.Epochs...),
-	}
-	for _, e := range s.LastSeq {
-		h.LastSeq[stream{src: e.Src, dest: e.Dest}] = e.Seq
-	}
-	h.Rejected = append([]SeqEntry(nil), s.Rejected...)
-	for _, ob := range s.Outbound {
-		h.Outbound = append(h.Outbound, OutboundState{
-			Src: ob.Src, Dest: ob.Dest, NextSeq: ob.NextSeq, Window: ob.Window,
-			Unacked: ob.Unacked, Pending: ob.Pending,
-		})
-	}
-	return h
-}
-
 // snapshot assembles the peer's durable state. Callers must have
 // stopped the peer's goroutines first (stop), so every field is
 // quiescent.
 func (p *Peer) snapshot() *PeerSnapshot {
-	docs, _ := p.rk.snapshotRanks()
-	s := &PeerSnapshot{
-		ID:            p.cfg.ID,
-		Docs:          docs,
-		Rank:          append([]float64(nil), p.rk.rank...),
-		Acc:           append([]float64(nil), p.rk.acc...),
-		Last:          append([]float64(nil), p.rk.last...),
-		Epochs:        p.view().Epochs,
-		EpochRejected: p.m.epochRejected.Load(),
-		CreditStalls:  p.m.creditStalls.Load(),
-		ShedCoalesced: p.m.shedCoalesced.Load(),
-		SlowPeer:      p.m.slowPeer.Load(),
-		Sent:          p.m.sent.Load(),
-		Processed:     p.m.processed.Load(),
-		Retries:       p.m.retries.Load(),
-		Reconnects:    p.m.reconnects.Load(),
-		Redeliveries:  p.m.redeliveries.Load(),
-		Coalesced:     p.m.coalesced.Load(),
-		DupDropped:    p.m.dupDropped.Load(),
-		Forwarded:     p.m.forwarded.Load(),
-		Misdropped:    p.m.misdropped.Load(),
-		DeltaShipped:  p.m.deltaShipped.Load(),
-		DeltaFolded:   p.m.deltaFolded.Load(),
-	}
-	for st, seq := range p.lastSeq {
-		s.LastSeq = append(s.LastSeq, SeqEntry{Src: st.src, Dest: st.dest, Seq: seq})
-	}
-	slices.SortFunc(s.LastSeq, func(a, b SeqEntry) int {
-		if a.Src != b.Src {
-			return int(a.Src - b.Src)
-		}
-		return int(a.Dest - b.Dest)
-	})
-	for st, seqs := range p.rejected {
-		for seq := range seqs {
-			s.Rejected = append(s.Rejected, SeqEntry{Src: st.src, Dest: st.dest, Seq: seq})
+	// Self-directed batches still queued for the processing loop were
+	// counted sent and no sender retransmits them: park them with
+	// whatever foldLater stranded after the shutdown, so they leave as
+	// the self stream's pending updates. Remote frames are dropped; their
+	// senders hold them unacknowledged and retransmit.
+	for len(p.bulk) > 0 {
+		if it := <-p.bulk; !it.seqed {
+			p.strand(it.us)
 		}
 	}
-	slices.SortFunc(s.Rejected, func(a, b SeqEntry) int {
-		if a.Src != b.Src {
-			return int(a.Src - b.Src)
-		}
-		if a.Dest != b.Dest {
-			return int(a.Dest - b.Dest)
-		}
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		}
-		return 0
-	})
+	s := p.rk.rows()
+	s.Epochs = p.view().Epochs
+	s.LastSeq, s.Rejected = seqEntries(p.lastSeq, p.rejected)
+	s.EpochRejected = p.m.epochRejected.Load()
+	s.CreditStalls = p.m.creditStalls.Load()
+	s.ShedCoalesced = p.m.shedCoalesced.Load()
+	s.SlowPeer = p.m.slowPeer.Load()
+	s.Sent = p.m.sent.Load()
+	s.Processed = p.m.processed.Load()
+	s.Retries = p.m.retries.Load()
+	s.Reconnects = p.m.reconnects.Load()
+	s.Redeliveries = p.m.redeliveries.Load()
+	s.Coalesced = p.m.coalesced.Load()
+	s.DupDropped = p.m.dupDropped.Load()
+	s.Forwarded = p.m.forwarded.Load()
+	s.Misdropped = p.m.misdropped.Load()
+	s.DeltaShipped = p.m.deltaShipped.Load()
+	s.DeltaFolded = p.m.deltaFolded.Load()
 	strms := make([]stream, 0, len(p.senders))
 	for st := range p.senders {
 		strms = append(strms, st)
 	}
-	slices.SortFunc(strms, func(a, b stream) int {
-		if a.src != b.src {
-			return int(a.src - b.src)
-		}
-		return int(a.dest - b.dest)
-	})
+	slices.SortFunc(strms, cmpStream)
 	for _, st := range strms {
 		snd := p.senders[st]
 		ob := OutboundState{Src: st.src, Dest: st.dest, NextSeq: snd.nextSeq, Window: snd.window}
@@ -257,8 +195,8 @@ func (p *Peer) snapshot() *PeerSnapshot {
 			s.Outbound = append(s.Outbound, ob)
 		}
 	}
-	// Queued destinations that never got a sender (possible when an
-	// ownership reroute parked updates during shutdown).
+	// Queued destinations without a sender: the self stream's stranded
+	// updates, and updates an ownership reroute parked during shutdown.
 	for _, dest := range p.rq.Dests() {
 		s.Outbound = append(s.Outbound, OutboundState{
 			Src: p.cfg.ID, Dest: dest, NextSeq: 1, Pending: p.rq.Drain(dest),
@@ -267,8 +205,113 @@ func (p *Peer) snapshot() *PeerSnapshot {
 	return s
 }
 
+func cmpStream(a, b stream) int {
+	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dest, b.dest))
+}
+
+// mergeSeqs folds a snapshot's duplicate-suppression entries into a
+// stream table: per stream the higher folded seq wins, and the
+// epoch-rejected seqs union.
+func mergeSeqs(lastSeq map[stream]uint64, rejected map[stream]map[uint64]struct{}, s *PeerSnapshot) {
+	for _, e := range s.LastSeq {
+		st := stream{src: e.Src, dest: e.Dest}
+		if e.Seq > lastSeq[st] {
+			lastSeq[st] = e.Seq
+		}
+	}
+	for _, e := range s.Rejected {
+		st := stream{src: e.Src, dest: e.Dest}
+		if rejected[st] == nil {
+			rejected[st] = make(map[uint64]struct{})
+		}
+		rejected[st][e.Seq] = struct{}{}
+	}
+}
+
+// seqEntries lists a stream table as sorted snapshot entries.
+func seqEntries(lastSeq map[stream]uint64, rejected map[stream]map[uint64]struct{}) (seqs, rej []SeqEntry) {
+	for st, seq := range lastSeq {
+		seqs = append(seqs, SeqEntry{Src: st.src, Dest: st.dest, Seq: seq})
+	}
+	for st, set := range rejected {
+		for seq := range set {
+			rej = append(rej, SeqEntry{Src: st.src, Dest: st.dest, Seq: seq})
+		}
+	}
+	byStreamSeq := func(a, b SeqEntry) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dest, b.Dest), cmp.Compare(a.Seq, b.Seq))
+	}
+	slices.SortFunc(seqs, byStreamSeq)
+	slices.SortFunc(rej, byStreamSeq)
+	return seqs, rej
+}
+
+// maxEpochs merges src into dst elementwise-max, growing dst to cover
+// src: fencing only ever raises an epoch, so the higher observation is
+// the fresher one.
+func maxEpochs(dst, src []uint64) []uint64 {
+	for len(dst) < len(src) {
+		dst = append(dst, 0)
+	}
+	for i, e := range src {
+		if e > dst[i] {
+			dst[i] = e
+		}
+	}
+	return dst
+}
+
+// appendRows appends src's ranker rows for the documents dst does not
+// hold yet; documents dst already holds keep dst's state.
+func appendRows(dst, src *PeerSnapshot) {
+	have := make(map[graph.NodeID]struct{}, len(dst.Docs))
+	for _, d := range dst.Docs {
+		have[d] = struct{}{}
+	}
+	for i, d := range src.Docs {
+		if _, dup := have[d]; dup {
+			continue
+		}
+		dst.Docs = append(dst.Docs, d)
+		dst.Rank = append(dst.Rank, src.Rank[i])
+		dst.Acc = append(dst.Acc, src.Acc[i])
+		dst.Last = append(dst.Last, src.Last[i])
+	}
+}
+
+// takeRows removes the ranker rows for docs from s in place and returns
+// them, in docs order, as a snapshot of their own. It fails without
+// touching s when s does not hold every doc.
+func takeRows(s *PeerSnapshot, docs []graph.NodeID) (*PeerSnapshot, error) {
+	index := make(map[graph.NodeID]int, len(s.Docs))
+	for i, d := range s.Docs {
+		index[d] = i
+	}
+	out := &PeerSnapshot{ID: s.ID, Docs: append([]graph.NodeID(nil), docs...)}
+	for _, d := range docs {
+		j, ok := index[d]
+		if !ok {
+			return nil, fmt.Errorf("wire: peer %d does not hold doc %d", s.ID, d)
+		}
+		out.Rank = append(out.Rank, s.Rank[j])
+		out.Acc = append(out.Acc, s.Acc[j])
+		out.Last = append(out.Last, s.Last[j])
+		delete(index, d)
+	}
+	keep := 0
+	for j, d := range s.Docs {
+		if _, stays := index[d]; !stays {
+			continue
+		}
+		s.Docs[keep], s.Rank[keep], s.Acc[keep], s.Last[keep] = d, s.Rank[j], s.Acc[j], s.Last[j]
+		keep++
+	}
+	s.Docs, s.Rank, s.Acc, s.Last = s.Docs[:keep], s.Rank[:keep], s.Acc[:keep], s.Last[:keep]
+	return out, nil
+}
+
 // decodeFrameBytes parses a full epoch-batch frame as built by
-// nextFrame or installAdoptedSender. The epoch itself is dropped — the
+// nextFrame or primeSender. The epoch itself is dropped — the
 // restorer re-stamps with its own current epoch.
 func decodeFrameBytes(b []byte) (src, dest p2p.PeerID, seq uint64, us []p2p.Update, err error) {
 	typ, payload, err := readFrameBytes(b)
@@ -290,11 +333,13 @@ func readFrameBytes(b []byte) (byte, []byte, error) {
 	return b[4], b[5:], nil
 }
 
-// RestorePeer rejoins a crashed peer: a fresh listener (new address),
-// the snapshot's ranker and recovery state, and senders primed to
-// redeliver everything unacknowledged. Call SetPeers (on every peer,
-// since the address changed) and then Start; the restored peer skips
-// the initial push.
+// RestorePeer rejoins a crashed peer, or starts a joining one from the
+// rows its successor shed: a fresh listener (new address), the
+// snapshot's counters, and then the snapshot applied exactly as Adopt
+// applies a departed peer's (senders primed to redeliver everything
+// unacknowledged, pending updates re-homed or folded). Call SetPeers
+// (on every peer, since the address changed) and then Start; the
+// restored peer skips the initial push.
 func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("wire: nil snapshot")
@@ -308,181 +353,35 @@ func RestorePeer(cfg PeerConfig, snap *PeerSnapshot) (*Peer, error) {
 	if len(snap.Rank) != len(snap.Docs) || len(snap.Acc) != len(snap.Docs) || len(snap.Last) != len(snap.Docs) {
 		return nil, fmt.Errorf("wire: snapshot ranker state does not match its document set")
 	}
+	// The rows arrive with the snapshot, so the peer starts holding none.
+	cfg.Docs = nil
 	p, err := NewPeer(cfg)
 	if err != nil {
 		return nil, err
 	}
 	p.restored = true
-	copy(p.rk.rank, snap.Rank)
-	copy(p.rk.acc, snap.Acc)
-	copy(p.rk.last, snap.Last)
-	for _, e := range snap.LastSeq {
-		p.lastSeq[stream{src: e.Src, dest: e.Dest}] = e.Seq
-	}
-	for _, e := range snap.Rejected {
-		st := stream{src: e.Src, dest: e.Dest}
-		if p.rejected[st] == nil {
-			p.rejected[st] = make(map[uint64]struct{})
-		}
-		p.rejected[st][e.Seq] = struct{}{}
-	}
-	// Elementwise-max merge: the config's epoch vector (the cluster's
-	// current view) and the snapshot's (what the peer saw before the
-	// crash) can each be ahead on different slots.
-	for i, e := range snap.Epochs {
-		p.adoptEpoch(p2p.PeerID(i), e)
-	}
 	p.m.restore(snap)
-	p.rk.resetMass()
-	for _, ob := range snap.Outbound {
-		st := stream{src: ob.Src, dest: ob.Dest}
-		if _, dup := p.senders[st]; dup {
-			continue
-		}
-		s := p.newSender(st)
-		s.nextSeq = ob.NextSeq
-		if ob.Window > 0 {
-			// Resume under the receiver's pre-crash credit budget; the
-			// first credit ack refreshes it either way.
-			s.window = ob.Window
-		}
-		for _, uf := range ob.Unacked {
-			fr := &frameRec{seq: uf.Seq, updates: len(uf.Updates)}
-			// Same stream identity and seq (dedup survives the crash),
-			// re-stamped with the restorer's freshest epoch for the range.
-			fr.bytes = frameBytes(frameBatchEpoch, encodeBatchEpoch(st.src, st.dest, uf.Seq, p.epochOf(st.dest), uf.Updates))
-			s.unacked = append(s.unacked, fr)
-		}
-		if len(s.unacked) > 0 {
-			s.sendSeq = s.unacked[0].seq
-			p.m.unackedFrames.Add(float64(len(s.unacked)))
-		} else {
-			s.sendSeq = s.nextSeq
-		}
-		for _, u := range ob.Pending {
-			// Two merged checkpoints can queue the same document for
-			// the same destination; an absorbed update is consumed
-			// here, exactly like live coalescing, or the termination
-			// probe could never balance.
-			if p.rq.DeferMerge(ob.Dest, u) {
-				p.m.coalesced.Add(1)
-				p.m.processed.Add(1)
-			}
-		}
-		p.senders[st] = s
-		p.wg.Add(1)
-		go s.loop()
-	}
-	// Pending updates only ever leave through a self-stream sender
-	// (adopted streams retransmit their inherited frames but never
-	// frame new ones), so every queued destination needs one — a
-	// merged checkpoint can carry a departed peer's pending updates
-	// for a destination this peer never dialed itself.
-	for _, dest := range p.rq.Dests() {
-		p.sender(stream{src: p.cfg.ID, dest: dest})
+	if err := p.Adopt(snap); err != nil {
+		p.Close()
+		return nil, err
 	}
 	return p, nil
 }
 
-// MergeSnapshot folds a departed peer's snapshot into the (also
-// crashed) successor's snapshot: ranker rows for documents the
-// successor does not already hold, the per-stream dedup table (keeping
-// the higher sequence number), and the departed peer's outbound
-// streams. Counters are NOT merged — the cluster accounts a departed
+// MergeSnapshot folds a departed peer's snapshot into its (also
+// crashed) successor's, with the same row append, stream-table merge
+// and epoch merge a live successor's Adopt performs; the departed
+// outbound streams ride along and are applied when the successor
+// restarts. Counters are NOT merged — the cluster accounts a departed
 // peer's counters separately, exactly as in the live-adoption path.
 func MergeSnapshot(dst, src *PeerSnapshot) {
-	have := make(map[graph.NodeID]struct{}, len(dst.Docs))
-	for _, d := range dst.Docs {
-		have[d] = struct{}{}
-	}
-	for i, d := range src.Docs {
-		if _, dup := have[d]; dup {
-			continue
-		}
-		dst.Docs = append(dst.Docs, d)
-		dst.Rank = append(dst.Rank, src.Rank[i])
-		dst.Acc = append(dst.Acc, src.Acc[i])
-		dst.Last = append(dst.Last, src.Last[i])
-	}
-	seq := make(map[stream]int, len(dst.LastSeq))
-	for i, e := range dst.LastSeq {
-		seq[stream{src: e.Src, dest: e.Dest}] = i
-	}
-	for _, e := range src.LastSeq {
-		if i, ok := seq[stream{src: e.Src, dest: e.Dest}]; ok {
-			if e.Seq > dst.LastSeq[i].Seq {
-				dst.LastSeq[i].Seq = e.Seq
-			}
-			continue
-		}
-		dst.LastSeq = append(dst.LastSeq, e)
-	}
-	rej := make(map[SeqEntry]struct{}, len(dst.Rejected))
-	for _, e := range dst.Rejected {
-		rej[e] = struct{}{}
-	}
-	for _, e := range src.Rejected {
-		if _, dup := rej[e]; !dup {
-			dst.Rejected = append(dst.Rejected, e)
-		}
-	}
-	streams := make(map[stream]struct{}, len(dst.Outbound))
-	for _, ob := range dst.Outbound {
-		streams[stream{src: ob.Src, dest: ob.Dest}] = struct{}{}
-	}
-	for _, ob := range src.Outbound {
-		if _, dup := streams[stream{src: ob.Src, dest: ob.Dest}]; dup {
-			continue // cannot happen: streams migrate to exactly one successor
-		}
-		dst.Outbound = append(dst.Outbound, ob)
-	}
-	// Ownership epochs merge elementwise-max: fencing only ever raises
-	// an epoch, so the higher observation is the fresher one.
-	if len(src.Epochs) > len(dst.Epochs) {
-		dst.Epochs = append(dst.Epochs, make([]uint64, len(src.Epochs)-len(dst.Epochs))...)
-	}
-	for i, e := range src.Epochs {
-		if e > dst.Epochs[i] {
-			dst.Epochs[i] = e
-		}
-	}
-}
-
-// ShedFromSnapshot extracts the ranker rows for docs from a crashed
-// peer's snapshot (for handing the range to a joining peer), removing
-// them from the snapshot in place. The snapshot's streams and queues
-// stay put: pending updates for shed documents are re-routed when the
-// peer is restored and the cluster pushes the new ownership table.
-func ShedFromSnapshot(s *PeerSnapshot, docs []graph.NodeID) (rank, acc, last []float64, err error) {
-	index := make(map[graph.NodeID]int, len(s.Docs))
-	for i, d := range s.Docs {
-		index[d] = i
-	}
-	rank = make([]float64, len(docs))
-	acc = make([]float64, len(docs))
-	last = make([]float64, len(docs))
-	shedSet := make(map[graph.NodeID]struct{}, len(docs))
-	for i, d := range docs {
-		j, ok := index[d]
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("wire: snapshot of peer %d does not hold doc %d", s.ID, d)
-		}
-		rank[i], acc[i], last[i] = s.Rank[j], s.Acc[j], s.Last[j]
-		shedSet[d] = struct{}{}
-	}
-	keepDocs := s.Docs[:0]
-	keepRank, keepAcc, keepLast := s.Rank[:0], s.Acc[:0], s.Last[:0]
-	for j, d := range s.Docs {
-		if _, gone := shedSet[d]; gone {
-			continue
-		}
-		keepDocs = append(keepDocs, d)
-		keepRank = append(keepRank, s.Rank[j])
-		keepAcc = append(keepAcc, s.Acc[j])
-		keepLast = append(keepLast, s.Last[j])
-	}
-	s.Docs, s.Rank, s.Acc, s.Last = keepDocs, keepRank, keepAcc, keepLast
-	return rank, acc, last, nil
+	appendRows(dst, src)
+	lastSeq, rejected := make(map[stream]uint64), make(map[stream]map[uint64]struct{})
+	mergeSeqs(lastSeq, rejected, dst)
+	mergeSeqs(lastSeq, rejected, src)
+	dst.LastSeq, dst.Rejected = seqEntries(lastSeq, rejected)
+	dst.Epochs = maxEpochs(dst.Epochs, src.Epochs)
+	dst.Outbound = append(dst.Outbound, src.Outbound...)
 }
 
 // frameBytes renders one frame to a byte slice.
@@ -497,95 +396,45 @@ func frameBytes(typ byte, payload []byte) []byte {
 // EncodeSnapshot serializes a snapshot in the checkpoint layout:
 // magic, version, header, then fixed-size records.
 func EncodeSnapshot(s *PeerSnapshot, w io.Writer) error {
+	// bufio.Writer errors are sticky: the first failed write is what
+	// Flush reports, so the record writes need no checks of their own.
 	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(peerSnapMagic); err != nil {
-		return err
+	put := func(vs ...uint64) { binary.Write(bw, binary.LittleEndian, vs) }
+	putUpdates := func(us []p2p.Update) {
+		put(uint64(len(us)))
+		for _, u := range us {
+			put(uint64(uint32(u.Doc)), math.Float64bits(u.Delta))
+		}
 	}
-	hdr := []uint64{
-		peerSnapVersion, uint64(uint32(s.ID)), uint64(len(s.Docs)),
+	bw.WriteString(peerSnapMagic)
+	put(peerSnapVersion, uint64(uint32(s.ID)), uint64(len(s.Docs)),
 		uint64(len(s.LastSeq)), uint64(len(s.Outbound)), uint64(len(s.Epochs)),
 		s.Sent, s.Processed, s.Retries, s.Reconnects, s.Redeliveries,
 		s.Coalesced, s.DupDropped, s.Forwarded, s.Misdropped, s.EpochRejected,
 		math.Float64bits(s.DeltaShipped), math.Float64bits(s.DeltaFolded),
 		uint64(len(s.Rejected)), // epoch-rejected seq records follow the outbound section
-		s.CreditStalls, s.ShedCoalesced, s.SlowPeer,
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, e := range s.Epochs {
-		if err := binary.Write(bw, binary.LittleEndian, e); err != nil {
-			return err
-		}
-	}
+		s.CreditStalls, s.ShedCoalesced, s.SlowPeer)
+	put(s.Epochs...)
 	for i, d := range s.Docs {
-		rec := []uint64{
-			uint64(uint32(d)),
-			math.Float64bits(s.Rank[i]), math.Float64bits(s.Acc[i]), math.Float64bits(s.Last[i]),
-		}
-		for _, v := range rec {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
+		put(uint64(uint32(d)), math.Float64bits(s.Rank[i]), math.Float64bits(s.Acc[i]), math.Float64bits(s.Last[i]))
 	}
 	for _, e := range s.LastSeq {
-		rec := []uint64{uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq}
-		for _, v := range rec {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
+		put(uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq)
 	}
 	for _, ob := range s.Outbound {
-		head := []uint64{
-			uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq,
+		put(uint64(uint32(ob.Src)), uint64(uint32(ob.Dest)), ob.NextSeq,
 			uint64(len(ob.Unacked)), uint64(len(ob.Pending)),
-			ob.Window, // last advertised credit window
-		}
-		for _, v := range head {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
+			ob.Window) // last advertised credit window
 		for _, uf := range ob.Unacked {
-			if err := binary.Write(bw, binary.LittleEndian, uf.Seq); err != nil {
-				return err
-			}
-			if err := writeUpdates(bw, uf.Updates); err != nil {
-				return err
-			}
+			put(uf.Seq)
+			putUpdates(uf.Updates)
 		}
-		if err := writeUpdates(bw, ob.Pending); err != nil {
-			return err
-		}
+		putUpdates(ob.Pending)
 	}
 	for _, e := range s.Rejected {
-		rec := []uint64{uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq}
-		for _, v := range rec {
-			if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-				return err
-			}
-		}
+		put(uint64(uint32(e.Src)), uint64(uint32(e.Dest)), e.Seq)
 	}
 	return bw.Flush()
-}
-
-func writeUpdates(w io.Writer, us []p2p.Update) error {
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(us))); err != nil {
-		return err
-	}
-	for _, u := range us {
-		if err := binary.Write(w, binary.LittleEndian, uint64(uint32(u.Doc))); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, math.Float64bits(u.Delta)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func readU64(r io.Reader, vs ...*uint64) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -356,12 +357,9 @@ func (c *Cluster) Kill(i int) error {
 	}
 	c.peers[i] = nil
 	snap := p.Kill()
-	var buf bytes.Buffer
-	if err := EncodeSnapshot(snap, &buf); err != nil {
+	if err := c.checkpointLocked(i, snap); err != nil {
 		return err
 	}
-	c.snaps[i] = snap
-	c.blobs[i] = buf.Bytes()
 	c.trace.Record(telemetry.EvKill, int32(i), -1, 0, int64(len(snap.Docs)))
 	if c.fenced[i] {
 		// The quorum already evicted this slot; it was only being kept
@@ -370,6 +368,19 @@ func (c *Cluster) Kill(i int) error {
 		// checkpoint.
 		return c.leaveLocked(i)
 	}
+	return nil
+}
+
+// checkpointLocked stores crashed slot i's snapshot, both decoded and
+// serialized; Restart decodes the serialized form, so every restart
+// exercises the codec. Callers hold c.mu.
+func (c *Cluster) checkpointLocked(i int, snap *PeerSnapshot) error {
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(snap, &buf); err != nil {
+		return err
+	}
+	c.snaps[i] = snap
+	c.blobs[i] = buf.Bytes()
 	return nil
 }
 
@@ -462,18 +473,16 @@ func (c *Cluster) leaveLocked(i int) error {
 	// peer's dedup tables BEFORE any sender learns the redirected
 	// address, or a redirected retransmission could double-fold.
 	if c.peers[j] != nil {
-		if err := c.peers[j].Adopt(HandoffFromSnapshot(snap)); err != nil {
+		if err := c.peers[j].Adopt(snap); err != nil {
 			return err
 		}
 	} else if c.snaps[j] != nil {
-		// Successor is itself crashed: merge the handoff into its
-		// checkpoint so its restart resumes with the adopted range.
+		// Successor is itself crashed: merge the departed snapshot into
+		// its checkpoint so its restart applies the adopted range.
 		MergeSnapshot(c.snaps[j], snap)
-		var buf bytes.Buffer
-		if err := EncodeSnapshot(c.snaps[j], &buf); err != nil {
+		if err := c.checkpointLocked(j, c.snaps[j]); err != nil {
 			return err
 		}
-		c.blobs[j] = buf.Bytes()
 	} else {
 		return fmt.Errorf("wire: successor %d of peer %d has no state", j, i)
 	}
@@ -526,7 +535,7 @@ func (c *Cluster) Join() (int, error) {
 	node.EachKey(func(_ dht.ID, v interface{}) {
 		docs = append(docs, v.(graph.NodeID))
 	})
-	sortDocs(docs)
+	slices.Sort(docs)
 	// Group by current owner (a single slot in practice — the keys all
 	// came from the ring successor — but ownership is re-read from the
 	// table so the code has no hidden single-source assumption).
@@ -550,19 +559,17 @@ func (c *Cluster) Join() (int, error) {
 	c.regs = append(c.regs, telemetry.NewRegistry())
 	snap := &PeerSnapshot{ID: p2p.PeerID(i)}
 	for owner, od := range byOwner {
-		var rank, acc, last []float64
+		var rows *PeerSnapshot
 		var err error
 		switch {
 		case int(owner) < len(c.peers) && c.peers[owner] != nil:
-			rank, acc, last, err = c.peers[owner].Shed(od, p2p.PeerID(i))
+			rows, err = c.peers[owner].Shed(od, p2p.PeerID(i))
 		case int(owner) < len(c.snaps) && c.snaps[owner] != nil:
-			rank, acc, last, err = ShedFromSnapshot(c.snaps[owner], od)
-			if err == nil {
-				c.docs[owner] = removeDocs(c.docs[owner], od)
-				var buf bytes.Buffer
-				if err = EncodeSnapshot(c.snaps[owner], &buf); err == nil {
-					c.blobs[owner] = buf.Bytes()
-				}
+			// The crashed owner's pending updates for the shed documents
+			// stay in its checkpoint; its restart re-homes them by the
+			// owner table.
+			if rows, err = takeRows(c.snaps[owner], od); err == nil {
+				err = c.checkpointLocked(int(owner), c.snaps[owner])
 			}
 		default:
 			err = fmt.Errorf("wire: owner %d of joining range has no state", owner)
@@ -570,13 +577,8 @@ func (c *Cluster) Join() (int, error) {
 		if err != nil {
 			return -1, err
 		}
-		snap.Docs = append(snap.Docs, od...)
-		snap.Rank = append(snap.Rank, rank...)
-		snap.Acc = append(snap.Acc, acc...)
-		snap.Last = append(snap.Last, last...)
-		if c.peers[owner] != nil {
-			c.docs[owner] = removeDocs(c.docs[owner], od)
-		}
+		appendRows(snap, rows)
+		c.docs[owner] = removeDocs(c.docs[owner], od)
 		c.epochs[owner]++
 	}
 	for _, d := range snap.Docs {
@@ -725,16 +727,6 @@ func (c *Cluster) reconcileFenced(s, from int) {
 	c.trace.Record(telemetry.EvHeal, int32(s), -1, 0, int64(from))
 	c.fenced[s] = false
 	c.leaveLocked(s) // best effort; a failed leave re-fences nothing — the detector retries
-}
-
-// sortDocs orders a document slice ascending (insertion sort is fine:
-// migration sets are small relative to the graph).
-func sortDocs(docs []graph.NodeID) {
-	for i := 1; i < len(docs); i++ {
-		for j := i; j > 0 && docs[j-1] > docs[j]; j-- {
-			docs[j-1], docs[j] = docs[j], docs[j-1]
-		}
-	}
 }
 
 // removeDocs filters the shed documents out of an ownership list.

@@ -143,6 +143,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		lying[i] = 0xff
 	}
 	f.Add(lying)
+	// A departed peer's state as a handoff carries it: a self stream
+	// (Src == Dest == ID) whose pending updates were counted sent but
+	// never folded, and streams adopted from an earlier leaver.
+	var handoff bytes.Buffer
+	_, departed := transferSnapshots()
+	if err := EncodeSnapshot(departed, &handoff); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(handoff.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(bytes.NewReader(data))
 		if err != nil {

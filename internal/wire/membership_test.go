@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"dpr/internal/graph"
+	"dpr/internal/p2p"
 )
 
 // runAsync starts a cluster run in the background.
@@ -96,8 +98,14 @@ func TestLeaveCrashedPeerHandsOffCheckpoint(t *testing.T) {
 // handoff: the departing peer's ring successor is itself crashed, so
 // the handoff must be merged into the successor's checkpoint and only
 // materialize when the successor restarts.
+//
+// The parity subtest pins that both handoffs are one state transfer: the
+// same departed state handed to a live successor (Adopt) and to a
+// crashed one (MergeSnapshot, then RestorePeer) leaves identical
+// successor state.
 func TestLeaveIntoCrashedSuccessorMergesCheckpoints(t *testing.T) {
 	defer assertNoGoroutineLeaks(t)()
+	t.Run("parity", testTransferParity)
 	g := graph.MustGeneratePowerLaw(graph.DefaultPowerLawConfig(400, 35))
 	c, err := NewCluster(g, ClusterConfig{Peers: 5, Epsilon: 1e-6, Seed: 13})
 	if err != nil {
@@ -130,6 +138,103 @@ func TestLeaveIntoCrashedSuccessorMergesCheckpoints(t *testing.T) {
 	assertNoMassLost(t, out.res)
 	if out.res.Misdropped != 0 {
 		t.Fatalf("%d updates lost to unresolved ownership", out.res.Misdropped)
+	}
+}
+
+// transferSnapshots builds a successor's checkpoint (slot 2) and the
+// departed state it inherits (slot 1, whose range moves to slot 2;
+// slot 0 stays live elsewhere). Between them they hold every kind of
+// transferred state: rows, overlapping dedup entries, rejected seqs,
+// epoch vectors of different lengths, own streams with unacked frames,
+// streams adopted from an earlier leaver (slot 3), a stream into the
+// successor itself, pending updates that coalesce across the two, and
+// self-directed pending updates. Every stream that has a sender owes
+// an unacked frame under a credit window of one, so no sender ever
+// frames a fresh batch and the state stays deterministic.
+func transferSnapshots() (succ, departed *PeerSnapshot) {
+	succ = &PeerSnapshot{
+		ID: 2, Docs: []graph.NodeID{4, 5},
+		Rank: []float64{0.5, 0.25}, Acc: []float64{0.35, 0.1}, Last: []float64{0.5, 0.2},
+		LastSeq:  []SeqEntry{{Src: 0, Dest: 2, Seq: 7}, {Src: 1, Dest: 2, Seq: 3}},
+		Rejected: []SeqEntry{{Src: 0, Dest: 2, Seq: 5}},
+		Epochs:   []uint64{1, 0, 2},
+		Outbound: []OutboundState{{Src: 2, Dest: 0, NextSeq: 4, Window: 1,
+			Unacked: []UnackedFrame{{Seq: 3, Updates: []p2p.Update{{Doc: 0, Delta: 0.1}}}},
+			Pending: []p2p.Update{{Doc: 1, Delta: 0.25}}}},
+		Sent: 9, Processed: 6, DeltaShipped: 1.5, DeltaFolded: 1.2,
+	}
+	departed = &PeerSnapshot{
+		ID: 1, Docs: []graph.NodeID{2, 3},
+		Rank: []float64{0.75, 0.15}, Acc: []float64{0.6, 0}, Last: []float64{0.7, 0.15},
+		LastSeq:  []SeqEntry{{Src: 0, Dest: 1, Seq: 9}, {Src: 0, Dest: 2, Seq: 6}},
+		Rejected: []SeqEntry{{Src: 0, Dest: 1, Seq: 8}, {Src: 0, Dest: 2, Seq: 5}},
+		Epochs:   []uint64{0, 3, 1, 1},
+		Outbound: []OutboundState{
+			{Src: 1, Dest: 0, NextSeq: 6, Window: 1,
+				Unacked: []UnackedFrame{{Seq: 5, Updates: []p2p.Update{{Doc: 1, Delta: 0.3}}}},
+				Pending: []p2p.Update{{Doc: 1, Delta: 0.5}, {Doc: 3, Delta: 0.5}}},
+			{Src: 1, Dest: 1, NextSeq: 1, Pending: []p2p.Update{{Doc: 2, Delta: 0.25}}},
+			{Src: 1, Dest: 2, NextSeq: 2, Window: 1,
+				Unacked: []UnackedFrame{{Seq: 1, Updates: []p2p.Update{{Doc: 4, Delta: 0.125}}}}},
+			{Src: 3, Dest: 0, NextSeq: 2, Window: 1,
+				Unacked: []UnackedFrame{{Seq: 1, Updates: []p2p.Update{{Doc: 0, Delta: 0.05}}}}},
+		},
+		Sent: 20, Processed: 15, DeltaShipped: 2, DeltaFolded: 1.5,
+	}
+	return succ, departed
+}
+
+// testTransferParity hands transferSnapshots' departed state to a live
+// successor and, separately, to a crashed successor that restarts, and
+// compares the successor's transferable state afterwards: rows, dedup
+// tables, epochs and outbound streams. The huge epsilon keeps folds
+// from pushing consequences; no peer has addresses, so nothing leaves.
+func testTransferParity(t *testing.T) {
+	g := graph.Cycle(6)
+	cfg := func(docPeer []p2p.PeerID, docs []graph.NodeID) PeerConfig {
+		return PeerConfig{ID: 2, Graph: g, DocPeer: docPeer, Docs: docs, Epsilon: 1e9}
+	}
+	transferred := func(s *PeerSnapshot) PeerSnapshot {
+		return PeerSnapshot{ID: s.ID, Docs: s.Docs, Rank: s.Rank, Acc: s.Acc, Last: s.Last,
+			LastSeq: s.LastSeq, Rejected: s.Rejected, Epochs: s.Epochs, Outbound: s.Outbound}
+	}
+
+	succ, departed := transferSnapshots()
+	live, err := RestorePeer(cfg([]p2p.PeerID{0, 0, 1, 1, 2, 2}, succ.Docs), succ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.Adopt(departed); err != nil {
+		live.Close()
+		t.Fatal(err)
+	}
+	viaAdopt := transferred(live.Kill())
+
+	succ, departed = transferSnapshots()
+	MergeSnapshot(succ, departed)
+	restarted, err := RestorePeer(cfg([]p2p.PeerID{0, 0, 2, 2, 2, 2}, succ.Docs), succ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaMerge := transferred(restarted.Kill())
+
+	if !reflect.DeepEqual(viaAdopt, viaMerge) {
+		t.Fatalf("live and crashed successors diverge:\nadopt: %+v\nmerge: %+v", viaAdopt, viaMerge)
+	}
+	// The self-directed and coalesced pending updates folded or merged
+	// instead of vanishing: slot 1's rows moved, doc 1's two pending
+	// deltas merged into one entry on the successor's own stream.
+	if want := []graph.NodeID{4, 5, 2, 3}; !reflect.DeepEqual(viaMerge.Docs, want) {
+		t.Fatalf("docs = %v, want %v", viaMerge.Docs, want)
+	}
+	var own *OutboundState
+	for i := range viaMerge.Outbound {
+		if ob := &viaMerge.Outbound[i]; ob.Src == 2 && ob.Dest == 0 {
+			own = ob
+		}
+	}
+	if own == nil || len(own.Pending) != 1 || own.Pending[0] != (p2p.Update{Doc: 1, Delta: 0.75}) {
+		t.Fatalf("successor's own stream to slot 0 = %+v, want doc 1's pending deltas merged", own)
 	}
 }
 

@@ -191,7 +191,9 @@ type Peer struct {
 
 	// Outbound senders, created lazily, keyed by delivery stream,
 	// plus the shared retry queue holding not-yet-framed updates per
-	// destination.
+	// destination. After shutdown the queue also parks, under this
+	// peer's own slot, self-directed updates the processing loop never
+	// folded (strand), so snapshot carries them.
 	sendMu  sync.Mutex
 	senders map[stream]*sender
 	rqMu    sync.Mutex
@@ -201,7 +203,7 @@ type Peer struct {
 	inMu sync.Mutex
 	ins  map[net.Conn]struct{}
 
-	// Two-lane inbox. ctl carries membership operations (handoff
+	// Two-lane inbox. ctl carries membership operations (snapshot
 	// adoption, document shedding), which must never queue behind bulk
 	// updates: an overloaded peer still serves ownership transfers
 	// promptly, so a slow peer cannot wedge a cluster-wide Leave or
@@ -243,7 +245,7 @@ type Peer struct {
 // inItem is one inbox entry: a batch of updates plus, for remote
 // frames (seqed), the stream metadata the processing loop needs to
 // suppress duplicates, fence stale epochs and acknowledge folding.
-// Membership operations (handoff adoption, document shedding) also
+// Membership operations (snapshot adoption, document shedding) also
 // travel through the inbox so they serialize with folding without
 // extra locks.
 type inItem struct {
@@ -260,8 +262,15 @@ type inItem struct {
 	ack  func()
 	nack func(cur uint64)
 
-	adopt *Handoff // nil unless this item carries a state handoff
-	shed  *shedReq // nil unless this item requests a document shed
+	adopt *adoptReq // nil unless this item carries a state transfer
+	shed  *shedReq  // nil unless this item requests a document shed
+}
+
+// adoptReq asks the processing loop to apply a snapshot; done closes
+// once it is applied.
+type adoptReq struct {
+	snap *PeerSnapshot
+	done chan struct{}
 }
 
 // shedReq asks the processing loop to extract ranker rows for a
@@ -273,8 +282,8 @@ type shedReq struct {
 }
 
 type shedState struct {
-	rank, acc, last []float64
-	err             error
+	rows *PeerSnapshot
+	err  error
 }
 
 // PeerStats is a point-in-time view of one peer's counters.
@@ -535,23 +544,15 @@ func (p *Peer) ExchangeView(dest p2p.PeerID) error {
 }
 
 // Start begins computing: it wakes the senders and performs the
-// initial push (skipped for peers restored from a snapshot or
-// constructed from a join handoff, whose ranker state already
+// initial push (skipped for peers built by RestorePeer, from a crash
+// checkpoint or a join's shed rows, whose ranker state already
 // reflects everything pushed before).
 func (p *Peer) Start() {
 	p.wakeSenders()
 	if p.restored {
 		return
 	}
-	// Initial push of every owned document's starting rank. Self-
-	// directed updates enter through the bulk lane; the processing
-	// loop is already running, so the buffered channel drains.
-	if self := p.ship(p.rk.initialOut(), true); len(self) > 0 {
-		select {
-		case p.bulk <- inItem{from: p.cfg.ID, us: self}:
-		case <-p.quit:
-		}
-	}
+	p.foldLater(p.ship(p.rk.initialOut(), true))
 }
 
 // wakeSenders nudges every sender loop (e.g. after an address-table
@@ -593,13 +594,16 @@ func (p *Peer) stop() {
 func (p *Peer) Close() { p.stop() }
 
 // Kill simulates a crash: every goroutine stops, every connection
-// drops, queued-but-unfolded inbound batches are lost, and the peer's
-// durable state — ranker state, duplicate-suppression table, and the
+// drops, queued-but-unfolded remote frames are lost (their senders
+// hold them unacknowledged and retransmit), and the peer's durable
+// state — ranker state, duplicate-suppression table, and the
 // store-and-retry outbound queues — is returned as a snapshot from
-// which RestorePeer can rejoin the network. Folded state is treated
-// as committed (as if every fold had been synchronously logged), which
-// together with fold-before-ack ordering guarantees no acknowledged
-// update is ever lost.
+// which RestorePeer can rejoin the network. Self-directed updates still
+// waiting for the processing loop have no sender to retransmit them,
+// so the snapshot carries them as the self stream's pending updates.
+// Folded state is treated as committed (as if every fold had been
+// synchronously logged), which together with fold-before-ack ordering
+// guarantees no acknowledged update is ever lost.
 func (p *Peer) Kill() *PeerSnapshot {
 	p.stop()
 	return p.snapshot()
@@ -1037,29 +1041,45 @@ func (p *Peer) UpdateOwnership(docs []graph.NodeID, owner p2p.PeerID, v View) {
 	p.wakeSenders()
 }
 
-// rerouteQueued re-homes every queued-but-unframed update whose
-// document's owner changed. Entries that merge into an existing entry
-// for the new owner count as coalesced-and-processed, exactly like a
-// first-time DeferMerge absorption; entries for documents this peer
-// now owns fold locally through the inbox.
+// rerouteQueued re-homes every queued-but-unframed update by the
+// current owner table.
 func (p *Peer) rerouteQueued() {
-	table := p.rk.ownerTable()
-	var selfUs []p2p.Update
-	merged := 0
+	var queued []p2p.Update
 	p.rqMu.Lock()
 	for _, dest := range p.rq.Dests() {
-		for _, u := range p.rq.Drain(dest) {
-			owner := dest
-			if int(u.Doc) < len(table) {
-				owner = table[u.Doc]
-			}
-			if owner == p.cfg.ID {
-				selfUs = append(selfUs, u)
-				continue
-			}
-			if p.rq.DeferMerge(owner, u) {
-				merged++
-			}
+		queued = append(queued, p.rq.Drain(dest)...)
+	}
+	p.rqMu.Unlock()
+	p.foldLater(p.reroute(queued))
+}
+
+// reroute routes updates that were counted sent once already (queued,
+// nacked or transferred) by the current owner table, and returns the
+// ones this peer must fold itself, for the caller to fold on the
+// processing loop. The rest coalesce into their owner's retry queue;
+// one absorbed into an existing entry counts as coalesced-and-
+// processed, exactly like a first-time DeferMerge absorption. An
+// update with no resolvable owner is returned too, so handle forwards
+// it or counts it misdropped.
+func (p *Peer) reroute(us []p2p.Update) []p2p.Update {
+	if len(us) == 0 {
+		return nil
+	}
+	table := p.rk.ownerTable()
+	var self []p2p.Update
+	merged := 0
+	p.rqMu.Lock()
+	for _, u := range us {
+		owner := p2p.NoPeer
+		if int(u.Doc) < len(table) {
+			owner = table[u.Doc]
+		}
+		if owner == p.cfg.ID || owner == p2p.NoPeer {
+			self = append(self, u)
+			continue
+		}
+		if p.rq.DeferMerge(owner, u) {
+			merged++
 		}
 	}
 	dests := p.rq.Dests()
@@ -1068,106 +1088,124 @@ func (p *Peer) rerouteQueued() {
 		p.m.coalesced.Add(uint64(merged))
 		p.m.processed.Add(uint64(merged))
 	}
-	// Ensure every destination holding rerouted updates has a live
-	// sender — the new owner may never have been dialed before.
+	// Every destination holding queued updates needs a live sender —
+	// the new owner may never have been dialed before.
 	for _, dest := range dests {
 		p.sender(stream{src: p.cfg.ID, dest: dest}).wakeUp()
 	}
-	if len(selfUs) > 0 {
-		select {
-		case p.bulk <- inItem{from: p.cfg.ID, us: selfUs}:
-		case <-p.quit:
-		}
+	return self
+}
+
+// foldLater hands self-directed updates from outside the processing
+// loop to it through the bulk lane. They were counted sent and no
+// sender retransmits them, so a shutdown must not drop them: what
+// cannot reach the loop any more is stranded for the snapshot.
+func (p *Peer) foldLater(us []p2p.Update) {
+	if len(us) == 0 {
+		return
+	}
+	select {
+	case p.bulk <- inItem{from: p.cfg.ID, us: us}:
+	case <-p.quit:
+		p.strand(us)
 	}
 }
 
-// Adopt hands a departed peer's durable state to this peer: ranker
-// rows for the migrated documents, the per-stream dedup table, parked
-// (never-framed) updates, and the departed peer's own unacknowledged
-// outbound frames, which this peer takes over retransmitting verbatim
-// under their original stream identity. The call blocks until the
-// processing loop has applied the handoff, so by the time it returns
-// any frame redirected here dedups correctly.
-func (p *Peer) Adopt(h *Handoff) error {
-	if h == nil {
-		return fmt.Errorf("wire: nil handoff")
+// strand parks self-directed updates of a stopped peer in the retry
+// queue under its own slot, where snapshot picks them up as the self
+// stream's pending updates.
+func (p *Peer) strand(us []p2p.Update) {
+	p.rqMu.Lock()
+	for _, u := range us {
+		p.rq.Defer(p.cfg.ID, u)
 	}
-	h.done = make(chan struct{})
+	p.rqMu.Unlock()
+}
+
+// Adopt applies a transferred snapshot to this peer — a departed
+// peer's state handed to its ring successor: ranker rows for the
+// migrated documents, the per-stream dedup table, the epoch vector,
+// pending updates (re-homed by the owner table, self-owned ones folded
+// here), and the unacknowledged outbound frames, which this peer takes
+// over retransmitting verbatim under their original stream identity.
+// Counters are not applied (RestorePeer restores them itself). The
+// call blocks until the processing loop has applied the snapshot, so
+// by the time it returns any frame redirected here dedups correctly.
+func (p *Peer) Adopt(snap *PeerSnapshot) error {
+	if snap == nil {
+		return fmt.Errorf("wire: nil snapshot")
+	}
+	req := &adoptReq{snap: snap, done: make(chan struct{})}
 	select {
-	case p.ctl <- inItem{adopt: h}:
+	case p.ctl <- inItem{adopt: req}:
 	case <-p.quit:
 		return fmt.Errorf("wire: peer %d is shut down", p.cfg.ID)
 	}
 	select {
-	case <-h.done:
+	case <-req.done:
 		return nil
 	case <-p.quit:
 		return fmt.Errorf("wire: peer %d shut down during adoption", p.cfg.ID)
 	}
 }
 
-// applyAdopt runs on the processing loop.
-func (p *Peer) applyAdopt(h *Handoff) {
-	defer close(h.done)
-	p.rk.adopt(h.Docs, h.Rank, h.Acc, h.Last)
-	for i, e := range h.Epochs {
-		p.adoptEpoch(p2p.PeerID(i), e)
+// applyAdopt is the one function that applies a snapshot to a peer; it
+// runs on the processing loop. Epochs merge before the senders are
+// primed, so re-stamped frames carry the freshest epoch known.
+func (p *Peer) applyAdopt(req *adoptReq) {
+	defer close(req.done)
+	s := req.snap
+	p.rk.adopt(s)
+	p.peersMu.Lock()
+	p.growViewLocked(len(s.Epochs))
+	p.epochs = maxEpochs(p.epochs, s.Epochs)
+	p.peersMu.Unlock()
+	mergeSeqs(p.lastSeq, p.rejected, s)
+	var pending []p2p.Update
+	for _, ob := range s.Outbound {
+		p.primeSender(ob)
+		pending = append(pending, ob.Pending...)
 	}
-	for st, seq := range h.LastSeq {
-		if seq > p.lastSeq[st] {
-			p.lastSeq[st] = seq
-		}
-	}
-	for _, e := range h.Rejected {
-		st := stream{src: e.Src, dest: e.Dest}
-		if p.rejected[st] == nil {
-			p.rejected[st] = make(map[uint64]struct{})
-		}
-		p.rejected[st][e.Seq] = struct{}{}
-	}
-	for _, ob := range h.Outbound {
-		st := stream{src: ob.Src, dest: ob.Dest}
-		if len(ob.Unacked) > 0 {
-			p.installAdoptedSender(st, ob)
-		}
-		// Parked updates re-enter as a plain received batch: they were
-		// counted sent by the departed peer, and folding or forwarding
-		// them here balances that exactly once.
-		if len(ob.Pending) > 0 {
-			for next := append([]p2p.Update(nil), ob.Pending...); len(next) > 0; {
-				next = p.handle(next)
-			}
-		}
+	for self := p.reroute(pending); len(self) > 0; {
+		self = p.handle(self)
 	}
 }
 
-// installAdoptedSender primes a sender for a departed peer's stream,
+// primeSender installs the sender for one transferred outbound stream,
 // loaded with its unacknowledged frames for verbatim retransmission.
-func (p *Peer) installAdoptedSender(st stream, ob OutboundState) {
+// A stream that owes no frames needs a sender only if this peer frames
+// fresh batches on it (its own stream to another peer), to continue
+// its sequence numbers. An existing sender for the stream wins: the
+// transfer is a replay.
+func (p *Peer) primeSender(ob OutboundState) {
+	if len(ob.Unacked) == 0 && (ob.Src != p.cfg.ID || ob.Dest == p.cfg.ID) {
+		return
+	}
+	st := stream{src: ob.Src, dest: ob.Dest}
 	p.sendMu.Lock()
 	if _, dup := p.senders[st]; dup {
 		p.sendMu.Unlock()
-		return // replayed handoff; the live sender already owns the stream
+		return
 	}
 	s := p.newSender(st)
 	s.nextSeq = ob.NextSeq
 	if ob.Window > 0 {
+		// Resume under the receiver's last advertised credit budget; the
+		// first credit ack refreshes it either way.
 		s.window = ob.Window
 	}
 	for _, uf := range ob.Unacked {
 		fr := &frameRec{seq: uf.Seq, updates: len(uf.Updates)}
-		// Re-encode under the restorer's current epoch for the range:
-		// stream and seq identity are preserved (dedup still works),
-		// but the frame carries a fence-aware epoch so a reconciled
-		// receiver can nack it if ownership moved on.
+		// Same stream identity and seq (dedup survives the transfer),
+		// re-stamped with this peer's freshest epoch for the range so a
+		// reconciled receiver can nack it if ownership moved on.
 		fr.bytes = frameBytes(frameBatchEpoch, encodeBatchEpoch(st.src, st.dest, uf.Seq, p.epochOf(st.dest), uf.Updates))
 		s.unacked = append(s.unacked, fr)
 	}
+	s.sendSeq = s.nextSeq
 	if len(s.unacked) > 0 {
 		s.sendSeq = s.unacked[0].seq
 		p.m.unackedFrames.Add(float64(len(s.unacked)))
-	} else {
-		s.sendSeq = s.nextSeq
 	}
 	p.senders[st] = s
 	p.wg.Add(1)
@@ -1177,28 +1215,28 @@ func (p *Peer) installAdoptedSender(st stream, ob OutboundState) {
 }
 
 // Shed extracts the ranker rows for docs (for handing to a joining
-// peer) and atomically repoints this peer's routing table at newOwner.
-// The call blocks until the processing loop has applied it, so no fold
-// can touch the extracted rows afterwards.
-func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last []float64, err error) {
+// peer, as a rows-only snapshot) and atomically repoints this peer's
+// routing table at newOwner. The call blocks until the processing loop
+// has applied it, so no fold can touch the extracted rows afterwards.
+func (p *Peer) Shed(docs []graph.NodeID, newOwner p2p.PeerID) (*PeerSnapshot, error) {
 	req := &shedReq{docs: docs, newOwner: newOwner, reply: make(chan shedState, 1)}
 	select {
 	case p.ctl <- inItem{shed: req}:
 	case <-p.quit:
-		return nil, nil, nil, fmt.Errorf("wire: peer %d is shut down", p.cfg.ID)
+		return nil, fmt.Errorf("wire: peer %d is shut down", p.cfg.ID)
 	}
 	select {
 	case st := <-req.reply:
-		return st.rank, st.acc, st.last, st.err
+		return st.rows, st.err
 	case <-p.quit:
-		return nil, nil, nil, fmt.Errorf("wire: peer %d shut down during shed", p.cfg.ID)
+		return nil, fmt.Errorf("wire: peer %d shut down during shed", p.cfg.ID)
 	}
 }
 
 // applyShed runs on the processing loop.
 func (p *Peer) applyShed(req *shedReq) {
-	rank, acc, last, err := p.rk.shed(req.docs, req.newOwner)
-	req.reply <- shedState{rank: rank, acc: acc, last: last, err: err}
+	rows, err := p.rk.shed(req.docs, req.newOwner)
+	req.reply <- shedState{rows: rows, err: err}
 }
 
 // sender owns the fault-tolerant outbound path of one delivery stream:
@@ -1276,9 +1314,17 @@ func (s *sender) loop() {
 			if fr == nil {
 				break
 			}
-			conn := s.ensureConn(&fails)
+			conn, dialed := s.ensureConn(&fails)
 			if conn == nil {
 				return // shutting down
+			}
+			if dialed {
+				// The dial rewound the cursor to the oldest unacknowledged
+				// frame, which fr (picked before a concurrent ack-path
+				// teardown) may lie past. Pick again: written first on the
+				// new connection, fr would fold ahead of the frames below it
+				// and its cumulative ack would discard them unfolded.
+				continue
 			}
 			s.mu.Lock()
 			fr.attempts++
@@ -1386,22 +1432,23 @@ func (s *sender) nextFrame() *frameRec {
 }
 
 // ensureConn returns the live connection, dialing with backoff until
-// one is established. Returns nil only on shutdown. Each attempt
+// one is established, and whether it dialed a new one (which rewinds
+// the send cursor). Returns nil only on shutdown. Each attempt
 // re-resolves the stream destination's address, so a peer that
 // rejoined at a new address — or a departed slot redirected to its
 // successor — is found without any extra signalling.
-func (s *sender) ensureConn(fails *int) net.Conn {
+func (s *sender) ensureConn(fails *int) (net.Conn, bool) {
 	s.mu.Lock()
 	if s.conn != nil {
 		c := s.conn
 		s.mu.Unlock()
-		return c
+		return c, false
 	}
 	s.mu.Unlock()
 	for {
 		select {
 		case <-s.p.quit:
-			return nil
+			return nil, false
 		default:
 		}
 		addr := s.p.peerAddr(s.strm.dest)
@@ -1415,7 +1462,7 @@ func (s *sender) ensureConn(fails *int) net.Conn {
 		if err != nil {
 			*fails++
 			if !s.backoff(*fails) {
-				return nil
+				return nil, false
 			}
 			continue
 		}
@@ -1436,7 +1483,7 @@ func (s *sender) ensureConn(fails *int) net.Conn {
 		}
 		s.p.wg.Add(1)
 		go s.readAcks(c)
-		return c
+		return c, true
 	}
 }
 
@@ -1610,7 +1657,7 @@ func (s *sender) isStalled() bool {
 
 // handleNack processes a stale-epoch rejection: adopt the receiver's
 // epoch for the stream's key range, withdraw exactly the rejected
-// frame, and requeue its updates through the current owner table —
+// frame, and re-home its updates through the current owner table —
 // the receiver never folded them, so re-originating them under this
 // peer's own streams keeps delivery exactly-once.
 func (s *sender) handleNack(seq, epoch uint64) {
@@ -1623,57 +1670,12 @@ func (s *sender) handleNack(seq, epoch uint64) {
 		}
 		if _, _, _, decoded, err := decodeFrameBytes(fr.bytes); err == nil {
 			us = decoded
-		} else {
 		}
 		s.unacked = append(s.unacked[:i:i], s.unacked[i+1:]...)
 		s.p.m.unackedFrames.Add(-1)
 		break
 	}
 	s.mu.Unlock()
-	if len(us) > 0 {
-		s.p.requeueUpdates(us)
-	}
+	s.p.foldLater(s.p.reroute(us))
 	s.wakeUp()
-}
-
-// requeueUpdates re-routes nacked updates by the current owner table.
-// Accounting mirrors rerouteQueued: merges into existing queue entries
-// count as coalesced-and-processed, locally owned documents fold
-// through the inbox, and nothing is re-counted as sent — the updates'
-// origination was counted when they first shipped.
-func (p *Peer) requeueUpdates(us []p2p.Update) {
-	table := p.rk.ownerTable()
-	var selfUs []p2p.Update
-	merged := 0
-	p.rqMu.Lock()
-	for _, u := range us {
-		owner := p2p.NoPeer
-		if int(u.Doc) < len(table) {
-			owner = table[u.Doc]
-		}
-		if owner == p.cfg.ID || owner == p2p.NoPeer {
-			selfUs = append(selfUs, u)
-			continue
-		}
-		if p.rq.DeferMerge(owner, u) {
-			merged++
-		}
-	}
-	dests := p.rq.Dests()
-	p.rqMu.Unlock()
-	if merged > 0 {
-		p.m.coalesced.Add(uint64(merged))
-		p.m.processed.Add(uint64(merged))
-	}
-	for _, dest := range dests {
-		p.sender(stream{src: p.cfg.ID, dest: dest}).wakeUp()
-	}
-	if len(selfUs) > 0 {
-		// Locally owned (or owner-unresolvable) updates fold or get
-		// forwarded by handle on the processing loop.
-		select {
-		case p.bulk <- inItem{from: p.cfg.ID, us: selfUs}:
-		case <-p.quit:
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"sync"
 
 	"dpr/internal/graph"
@@ -15,10 +14,12 @@ import (
 // methods are safe for concurrent use.
 //
 // Under dynamic membership the document set is mutable: adopt appends
-// a departed peer's rows, shed extracts rows for a joining peer, and
-// setOwner rewrites the routing table. Each ranker owns a private copy
-// of the doc->peer table so a membership change pushed to one peer can
-// never race another peer's routing reads.
+// a transferred snapshot's rows, shed extracts rows for a joining peer
+// (both through the same appendRows/takeRows that edit a crashed
+// peer's checkpoint), and setOwner rewrites the routing table. Each
+// ranker owns a private copy of the doc->peer table so a membership
+// change pushed to one peer can never race another peer's routing
+// reads.
 type ranker struct {
 	id      p2p.PeerID
 	g       *graph.Graph
@@ -59,18 +60,6 @@ func newRanker(cfg PeerConfig, mass *telemetry.Gauge) *ranker {
 	}
 	r.mass.Set(float64(len(cfg.Docs)) * (1 - cfg.Damping))
 	return r
-}
-
-// resetMass recomputes the mass gauge from the current rows; used
-// after a checkpoint restore overwrites the ranker arrays wholesale.
-func (r *ranker) resetMass() {
-	r.mu.Lock()
-	total := 0.0
-	for _, v := range r.rank {
-		total += v
-	}
-	r.mu.Unlock()
-	r.mass.Set(total)
 }
 
 // initialOut builds the initial-push batches, keyed by destination.
@@ -207,24 +196,23 @@ func (r *ranker) setOwner(docs []graph.NodeID, owner p2p.PeerID) {
 }
 
 // adopt appends a migrated document range: the rows arrive mid-flight
-// from a handoff snapshot and continue exactly where the previous
+// from a transferred snapshot and continue exactly where the previous
 // owner's last fold left them (rank/acc committed, last marking what
 // has already been pushed downstream). Adopted docs are immediately
-// marked self-owned in the routing table.
-func (r *ranker) adopt(docs []graph.NodeID, rank, acc, last []float64) {
+// marked self-owned in the routing table; docs already held keep their
+// state (a replayed transfer).
+func (r *ranker) adopt(s *PeerSnapshot) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	rows := r.rowsLocked()
+	n := len(rows.Docs)
+	appendRows(rows, s)
+	r.docs, r.rank, r.acc, r.last = rows.Docs, rows.Rank, rows.Acc, rows.Last
 	adopted := 0.0
-	for i, d := range docs {
-		if _, dup := r.index[d]; dup {
-			continue // already ours (e.g. replayed handoff); keep our state
-		}
-		r.index[d] = int32(len(r.docs))
-		r.docs = append(r.docs, d)
-		r.rank = append(r.rank, rank[i])
-		r.acc = append(r.acc, acc[i])
-		r.last = append(r.last, last[i])
-		adopted += rank[i]
+	for i := n; i < len(r.docs); i++ {
+		d := r.docs[i]
+		r.index[d] = int32(i)
+		adopted += r.rank[i]
 		if int(d) < len(r.docPeer) {
 			r.docPeer[d] = r.id
 		}
@@ -238,50 +226,50 @@ func (r *ranker) adopt(docs []graph.NodeID, rank, acc, last []float64) {
 // atomically repoints the routing table at newOwner, so an update for
 // a shed document arriving in the very next fold is forwarded rather
 // than folded into state that already left.
-func (r *ranker) shed(docs []graph.NodeID, newOwner p2p.PeerID) (rank, acc, last []float64, err error) {
+func (r *ranker) shed(docs []graph.NodeID, newOwner p2p.PeerID) (*PeerSnapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	shedSet := make(map[graph.NodeID]struct{}, len(docs))
-	rank = make([]float64, len(docs))
-	acc = make([]float64, len(docs))
-	last = make([]float64, len(docs))
-	for i, d := range docs {
-		j, mine := r.index[d]
-		if !mine {
-			return nil, nil, nil, fmt.Errorf("wire: peer %d cannot shed doc %d it does not own", r.id, d)
-		}
-		rank[i], acc[i], last[i] = r.rank[j], r.acc[j], r.last[j]
-		shedSet[d] = struct{}{}
+	rows := r.rowsLocked()
+	out, err := takeRows(rows, docs)
+	if err != nil {
+		return nil, err
 	}
-	keepDocs := r.docs[:0]
-	keepRank, keepAcc, keepLast := r.rank[:0], r.acc[:0], r.last[:0]
-	for j, d := range r.docs {
-		if _, gone := shedSet[d]; gone {
-			continue
-		}
-		keepDocs = append(keepDocs, d)
-		keepRank = append(keepRank, r.rank[j])
-		keepAcc = append(keepAcc, r.acc[j])
-		keepLast = append(keepLast, r.last[j])
-	}
-	r.docs, r.rank, r.acc, r.last = keepDocs, keepRank, keepAcc, keepLast
+	r.docs, r.rank, r.acc, r.last = rows.Docs, rows.Rank, rows.Acc, rows.Last
 	r.index = make(map[graph.NodeID]int32, len(r.docs))
 	for j, d := range r.docs {
 		r.index[d] = int32(j)
 	}
-	for _, d := range docs {
+	extracted := 0.0
+	for i, d := range docs {
+		extracted += out.Rank[i]
 		if int(d) < len(r.docPeer) {
 			r.docPeer[d] = newOwner
 		}
 	}
-	extracted := 0.0
-	for _, v := range rank {
-		extracted += v
-	}
 	if extracted != 0 {
 		r.mass.Add(-extracted)
 	}
-	return rank, acc, last, nil
+	return out, nil
+}
+
+// rowsLocked views the ranker's rows in snapshot form, without
+// copying, so adopt and shed share appendRows and takeRows with the
+// crashed-peer path that edits a stored checkpoint. Caller holds mu.
+func (r *ranker) rowsLocked() *PeerSnapshot {
+	return &PeerSnapshot{ID: r.id, Docs: r.docs, Rank: r.rank, Acc: r.acc, Last: r.last}
+}
+
+// rows returns a copy of the ranker's rows in snapshot form.
+func (r *ranker) rows() *PeerSnapshot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &PeerSnapshot{
+		ID:   r.id,
+		Docs: append([]graph.NodeID(nil), r.docs...),
+		Rank: append([]float64(nil), r.rank...),
+		Acc:  append([]float64(nil), r.acc...),
+		Last: append([]float64(nil), r.last...),
+	}
 }
 
 // snapshotRanks returns (docs, ranks) for collection.
